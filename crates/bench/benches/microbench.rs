@@ -1,40 +1,14 @@
-//! Criterion micro-benchmarks for the hot paths of every subsystem:
-//! queue operations, model evaluation, B&B placement, simulation event
-//! throughput and workload generation.
+//! Criterion micro-benchmarks for the hot paths of every subsystem: model
+//! evaluation, B&B placement, simulation event throughput and workload
+//! generation. Queue crossings are measured by the `queue_fabric` bench.
 
 use brisk_apps::{generators::SentenceGenerator, word_count};
 use brisk_dag::{ExecutionGraph, Placement};
 use brisk_model::Evaluator;
 use brisk_numa::{Machine, SocketId};
 use brisk_rlas::{optimize_placement, PlacementOptions};
-use brisk_runtime::{Batch, BoundedQueue, JumboTuple};
 use brisk_sim::{SimConfig, Simulator};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-
-fn bench_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("queue");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("push_pop", |b| {
-        let q: BoundedQueue<u64> = BoundedQueue::new(1024);
-        let mut i = 0u64;
-        b.iter(|| {
-            q.push(i).expect("open");
-            i += 1;
-            std::hint::black_box(q.try_pop())
-        });
-    });
-    g.bench_function("jumbo_push_pop_64", |b| {
-        let q: BoundedQueue<JumboTuple> = BoundedQueue::new(64);
-        // One shared slab, cloned per iteration: the queue moves a batch
-        // handle, the payloads never move (the zero-copy fast path).
-        let batch = Batch::from_rows((0..64).map(|i| (i as u64, 0, i as u64)));
-        b.iter(|| {
-            q.push(JumboTuple::new(0, 0, batch.clone())).expect("open");
-            std::hint::black_box(q.try_pop())
-        });
-    });
-    g.finish();
-}
 
 fn bench_model(c: &mut Criterion) {
     let machine = Machine::server_a();
@@ -96,7 +70,6 @@ fn bench_generators(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_queue,
     bench_model,
     bench_placement,
     bench_sim,

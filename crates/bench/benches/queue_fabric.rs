@@ -1,37 +1,31 @@
-//! A/B micro-benchmark of the two queue fabrics ([`QueueKind`]) on the
-//! engine's hottest path: moving jumbo tuples across a single
-//! producer→consumer replica pair.
+//! Micro-benchmark of the replica-pair queue, the lock-free SPSC ring
+//! ([`SpscQueue`]), on the engine's hottest path: moving jumbo tuples
+//! across a single producer→consumer replica pair.
 //!
 //! Methodology: each iteration ping-pongs a **pre-built** payload through
 //! the queue (push then pop), so the numbers isolate pure queue overhead —
 //! no tuple allocation noise, exactly the per-jumbo synchronization cost
-//! the engine pays per queue crossing. Three shapes per fabric:
+//! the engine pays per queue crossing. Shapes:
 //!
-//! * `push_pop_u64` — minimal element, the raw fabric floor.
+//! * `push_pop_u64` — minimal element, the raw ring floor.
 //! * `jumbo_push_pop_64` — one [`JumboTuple`] of 64 tuples per crossing
 //!   (the default `jumbo_size`); throughput is reported per *tuple*.
 //! * `jumbo64_payload64B` / `jumbo64_payload1KB` — the same crossing with
 //!   64-byte and 1-KiB payloads behind the batch handle. Under the
 //!   zero-copy fabric the queue moves a `(slab, start, len)` handle, so
 //!   these should price like the u64 jumbo row — that invariance (not the
-//!   absolute number) is what the rows gate. A fabric that copied payloads
+//!   absolute number) is what the rows gate. A queue that copied payloads
 //!   would scale with payload size and show up immediately here.
-//! * `batch8_jumbo64` — `push_n`/`pop_n` moving 8 jumbos per index
-//!   publish, the grouped flush/drain path.
 //! * `xcore_pingpong_jumbo64` — the **2-thread** variant: a dedicated
 //!   consumer thread echoes each jumbo back on a second queue, so every
 //!   iteration is a genuine cross-thread round trip (two queue crossings
-//!   with real cache-line traffic between cores). On a 1-vCPU container
-//!   the two threads time-share, so treat those numbers as a smoke signal
+//!   with real cache-line traffic between cores). On a 1-vCPU host the
+//!   two threads time-share, so treat those numbers as a smoke signal
 //!   there and as a real cross-core measurement only on multi-core hosts.
 //!
-//! All three fabrics run the same shapes — the CAS-claimed MPSC ring's
-//! single-producer numbers sit between mutex and SPSC, pricing the fan-in
-//! wiring the engine auto-selects for multi-producer (Global funnel)
-//! edges. Results are recorded in `BENCH_queue.json` at the repo root; the
-//! SPSC ring must beat the mutex queue by ≥2× on `jumbo_push_pop_64`.
+//! Results are recorded in `BENCH_queue.json` at the repo root.
 
-use brisk_runtime::{Batch, JumboTuple, QueueKind, ReplicaQueue};
+use brisk_runtime::{Batch, JumboTuple, SpscQueue};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
 
@@ -53,29 +47,28 @@ fn payload_jumbo<const BYTES: usize>(n: usize) -> JumboTuple {
     )
 }
 
-/// Ping-pong `carried` through a fresh queue of `kind` (push then pop per
+/// Ping-pong `carried` through a fresh queue (push then pop per
 /// iteration): pure queue overhead for whatever payload sits behind the
 /// batch handle.
-fn pingpong_jumbo(b: &mut criterion::Bencher, kind: QueueKind, seed: JumboTuple) {
-    let q: ReplicaQueue<JumboTuple> = ReplicaQueue::new(kind, 64);
+fn pingpong_jumbo(b: &mut criterion::Bencher, seed: JumboTuple) {
+    let q: SpscQueue<JumboTuple> = SpscQueue::new(64);
     let mut carried = Some(seed);
     b.iter(|| {
-        q.push(carried.take().expect("carried")).expect("open");
+        q.try_push(carried.take().expect("carried")).expect("room");
         carried = q.try_pop();
         std::hint::black_box(carried.is_some())
     });
 }
 
-fn bench_kind(c: &mut Criterion, kind: QueueKind) {
-    let name = format!("queue_fabric/{kind}");
-    let mut g = c.benchmark_group(&name);
+fn bench_queue_fabric(c: &mut Criterion) {
+    let mut g = c.benchmark_group("queue_fabric/spsc");
 
     g.throughput(Throughput::Elements(1));
     g.bench_function("push_pop_u64", |b| {
-        let q: ReplicaQueue<u64> = ReplicaQueue::new(kind, 1024);
+        let q: SpscQueue<u64> = SpscQueue::new(1024);
         let mut i = 0u64;
         b.iter(|| {
-            q.push(i).expect("open");
+            q.try_push(i).expect("room");
             i = i.wrapping_add(1);
             std::hint::black_box(q.try_pop())
         });
@@ -85,28 +78,17 @@ fn bench_kind(c: &mut Criterion, kind: QueueKind) {
     g.bench_function("jumbo_push_pop_64", |b| {
         // Ping-pong one pre-built jumbo: measures queue overhead per
         // 64-tuple group, not tuple construction.
-        pingpong_jumbo(b, kind, jumbo(64));
+        pingpong_jumbo(b, jumbo(64));
     });
 
     g.throughput(Throughput::Elements(64));
     g.bench_function("jumbo64_payload64B", |b| {
-        pingpong_jumbo(b, kind, payload_jumbo::<64>(64));
+        pingpong_jumbo(b, payload_jumbo::<64>(64));
     });
 
     g.throughput(Throughput::Elements(64));
     g.bench_function("jumbo64_payload1KB", |b| {
-        pingpong_jumbo(b, kind, payload_jumbo::<1024>(64));
-    });
-
-    g.throughput(Throughput::Elements(8 * 64));
-    g.bench_function("batch8_jumbo64", |b| {
-        let q: ReplicaQueue<JumboTuple> = ReplicaQueue::new(kind, 64);
-        let mut carried: Vec<JumboTuple> = (0..8).map(|_| jumbo(64)).collect();
-        b.iter(|| {
-            q.push_n(std::mem::take(&mut carried)).expect("open");
-            q.pop_n(&mut carried, 8);
-            std::hint::black_box(carried.len())
-        });
+        pingpong_jumbo(b, payload_jumbo::<1024>(64));
     });
 
     g.throughput(Throughput::Elements(64));
@@ -114,15 +96,15 @@ fn bench_kind(c: &mut Criterion, kind: QueueKind) {
         // Producer (bench thread) → `up` → echo thread → `down` → bench
         // thread: each queue keeps exactly one producer and one consumer,
         // so the SPSC contract holds across real threads.
-        let up: Arc<ReplicaQueue<JumboTuple>> = Arc::new(ReplicaQueue::new(kind, 64));
-        let down: Arc<ReplicaQueue<JumboTuple>> = Arc::new(ReplicaQueue::new(kind, 64));
+        let up: Arc<SpscQueue<JumboTuple>> = Arc::new(SpscQueue::new(64));
+        let down: Arc<SpscQueue<JumboTuple>> = Arc::new(SpscQueue::new(64));
         let echo = {
             let up = Arc::clone(&up);
             let down = Arc::clone(&down);
             std::thread::spawn(move || loop {
                 match up.try_pop() {
                     Some(jumbo) => {
-                        if down.push(jumbo).is_err() {
+                        if down.push_tracked(jumbo).is_err() {
                             break;
                         }
                     }
@@ -139,7 +121,8 @@ fn bench_kind(c: &mut Criterion, kind: QueueKind) {
         };
         let mut carried = Some(jumbo(64));
         b.iter(|| {
-            up.push(carried.take().expect("carried")).expect("open");
+            up.push_tracked(carried.take().expect("carried"))
+                .expect("open");
             loop {
                 if let Some(back) = down.try_pop() {
                     carried = Some(back);
@@ -154,12 +137,6 @@ fn bench_kind(c: &mut Criterion, kind: QueueKind) {
     });
 
     g.finish();
-}
-
-fn bench_queue_fabric(c: &mut Criterion) {
-    bench_kind(c, QueueKind::Mutex);
-    bench_kind(c, QueueKind::Spsc);
-    bench_kind(c, QueueKind::Mpsc);
 }
 
 criterion_group!(benches, bench_queue_fabric);

@@ -263,7 +263,7 @@ fn main() {
                 println!(
                     "measured {:.1}k ev/s (predicted {:.1}k, rlas/rr {:.2}, fused/unfused {:.2}, \
                      pool/thread {:.2}, elastic {} re-plan(s) at {:.2}x oracle)",
-                    r.measured.first().map(|m| m.throughput).unwrap_or(0.0) / 1e3,
+                    r.measured.throughput / 1e3,
                     r.predicted_throughput / 1e3,
                     r.rlas_over_rr,
                     r.fusion.fused_over_unfused,
@@ -271,15 +271,11 @@ fn main() {
                     r.elastic.replans,
                     r.elastic.recovery
                 );
-                // Zero-throughput smoke covers every fused run (the
-                // per-fabric measurements) AND the fusion-disabled A/B leg.
-                for m in &r.measured {
-                    if m.throughput <= 0.0 || !m.throughput.is_finite() {
-                        failures.push(format!(
-                            "{app}: zero throughput under {} (fusion on)",
-                            m.queue_kind
-                        ));
-                    }
+                // Zero-throughput smoke covers the fused run AND the
+                // fusion-disabled A/B leg.
+                let fused = r.measured.throughput;
+                if fused <= 0.0 || !fused.is_finite() {
+                    failures.push(format!("{app}: zero throughput with fusion on"));
                 }
                 if r.fusion.unfused_throughput <= 0.0 || !r.fusion.unfused_throughput.is_finite() {
                     failures.push(format!("{app}: zero throughput with fusion disabled"));
@@ -323,15 +319,12 @@ fn main() {
         let rows: Vec<Vec<String>> = results
             .iter()
             .map(|r| {
-                let spsc = r.measured.first();
                 vec![
                     r.app.to_string(),
                     format!("{}", r.replication.iter().sum::<usize>()),
                     format!("{:.1}", r.predicted_throughput / 1e3),
-                    spsc.map(|m| format!("{:.1}", m.throughput / 1e3))
-                        .unwrap_or_default(),
-                    spsc.map(|m| format!("{:.2}", m.measured_over_predicted))
-                        .unwrap_or_default(),
+                    format!("{:.1}", r.measured.throughput / 1e3),
+                    format!("{:.2}", r.measured.measured_over_predicted),
                     format!("{:.1}", r.rr_throughput / 1e3),
                     format!("{:.2}", r.rlas_over_rr),
                     format!("{}", r.fusion.fused_ops),

@@ -14,7 +14,7 @@
 //!    NUMA machine, producing an [`ExecutionPlan`].
 //! 3. **Execute** — run the plan on the threaded engine
 //!    ([`Engine::with_plan`], which injects the plan's Formula-2 fetch
-//!    costs) under each [`QueueKind`], with a deterministic sized workload
+//!    costs), with a deterministic sized workload
 //!    ([`brisk_apps::app_sized`]).
 //! 4. **Compare** — line up measured throughput/latency and per-operator
 //!    output rates against [`predict_for_plan`]'s numbers, plus a
@@ -43,8 +43,7 @@ use brisk_rlas::{
 };
 use brisk_runtime::{
     plan_replica_sockets, silence_injected_panics, AppRuntime, DriftPlan, ElasticEngine,
-    ElasticOptions, Engine, EngineConfig, FaultPlan, QueueKind, RestartPolicy, RunLimit, RunReport,
-    Scheduler,
+    ElasticOptions, Engine, EngineConfig, FaultPlan, RestartPolicy, RunLimit, RunReport, Scheduler,
 };
 use std::time::Duration;
 
@@ -71,8 +70,6 @@ pub struct E2eOptions {
     /// Per-run wall-clock cap (runs normally end by draining the sized
     /// spouts well before this).
     pub timeout: Duration,
-    /// Queue fabrics to measure.
-    pub queue_kinds: Vec<QueueKind>,
     /// B&B node budget per placement call.
     pub plan_node_budget: usize,
     /// RLAS graph compression ratio.
@@ -80,7 +77,7 @@ pub struct E2eOptions {
 }
 
 impl E2eOptions {
-    /// CI smoke configuration: small deterministic budgets, both fabrics.
+    /// CI smoke configuration: small deterministic budgets.
     pub fn smoke() -> E2eOptions {
         E2eOptions {
             machine: Machine::server_a().restrict_sockets(2),
@@ -88,7 +85,6 @@ impl E2eOptions {
             profile_samples: 200,
             replica_budget: 8,
             timeout: Duration::from_secs(60),
-            queue_kinds: vec![QueueKind::Spsc, QueueKind::Mutex],
             plan_node_budget: 2_500,
             compress_ratio: 2,
         }
@@ -105,14 +101,13 @@ impl E2eOptions {
         }
     }
 
-    /// Minimal configuration for tests: one fabric, tiny budgets.
+    /// Minimal configuration for tests: tiny budgets.
     pub fn tiny() -> E2eOptions {
         E2eOptions {
             event_budget: 800,
             profile_samples: 100,
             plan_node_budget: 800,
             timeout: Duration::from_secs(30),
-            queue_kinds: vec![QueueKind::Spsc],
             ..E2eOptions::smoke()
         }
     }
@@ -138,11 +133,9 @@ impl E2eOptions {
     }
 }
 
-/// One engine execution of a plan under one queue fabric.
+/// One engine execution of a plan.
 #[derive(Debug, Clone)]
 pub struct MeasuredRun {
-    /// Fabric the engine was wired with.
-    pub queue_kind: QueueKind,
     /// Input events the spouts generated.
     pub input_events: u64,
     /// Tuples the sinks received.
@@ -174,9 +167,8 @@ pub struct MeasuredRun {
     pub measured_over_predicted: f64,
 }
 
-/// The fused-vs-unfused A/B for one application: the same RLAS plan run on
-/// the default fabric with operator fusion on (the engine default) and
-/// forced off.
+/// The fused-vs-unfused A/B for one application: the same RLAS plan run
+/// with operator fusion on (the engine default) and forced off.
 #[derive(Debug, Clone)]
 pub struct FusionAB {
     /// Operators the plan's [`FusionPlan`] fuses away (0 = no fusable
@@ -206,9 +198,8 @@ pub struct FusionAB {
     pub fused_edges_silent: bool,
 }
 
-/// The scheduler A/B for one application: the same RLAS plan run on the
-/// default fabric under thread-per-replica execution and under the
-/// work-stealing core pool ([`Scheduler::CorePool`], auto-sized).
+/// The scheduler A/B for one application: the same RLAS plan run under
+/// thread-per-replica execution and under the work-stealing core pool ([`Scheduler::CorePool`], auto-sized).
 #[derive(Debug, Clone)]
 pub struct SchedulerAB {
     /// Worker threads the auto-sized pool resolved to on this host.
@@ -298,26 +289,26 @@ pub struct AppE2e {
     pub predicted_output_rates: Vec<(String, f64)>,
     /// Name of the operator the model flags as the bottleneck, if any.
     pub predicted_bottleneck: Option<String>,
-    /// One measured run per requested queue fabric (RLAS plan, fusion on).
-    pub measured: Vec<MeasuredRun>,
-    /// The fused-vs-unfused A/B on the default fabric.
+    /// The measured run of the RLAS plan (fusion on, thread per replica).
+    pub measured: MeasuredRun,
+    /// The fused-vs-unfused A/B.
     pub fusion: FusionAB,
-    /// The thread-per-replica vs core-pool A/B on the default fabric.
+    /// The thread-per-replica vs core-pool A/B.
     pub scheduler: SchedulerAB,
     /// The content-independent expected sink count for the steady-state
     /// legs (SJ: the single-threaded join oracle's match count), where the
     /// app has one.
     pub expected_sink_events: Option<u64>,
-    /// Every steady-state leg (each fabric, plus the fusion-off A/B)
+    /// Both steady-state legs (the measured run and the fusion-off A/B)
     /// delivered exactly [`AppE2e::expected_sink_events`] sink tuples —
     /// the harness's exactly-once accounting gate. Vacuously true for
     /// apps with no content-independent expectation.
     pub sink_exact: bool,
     /// Measured throughput of the round-robin placement of the same
-    /// replication, default fabric.
+    /// replication.
     pub rr_throughput: f64,
-    /// RLAS measured throughput over RR measured throughput (default
-    /// fabric) — the paper's directional claim is that this is ≥ 1.
+    /// RLAS measured throughput over RR measured throughput — the paper's
+    /// directional claim is that this is ≥ 1.
     pub rlas_over_rr: f64,
     /// The drifting-workload elastic-runtime leg.
     pub elastic: ElasticE2e,
@@ -327,7 +318,6 @@ fn measure(
     abbrev: &'static str,
     plan: &ExecutionPlan,
     prediction: &PlanPrediction,
-    kind: QueueKind,
     fusion: bool,
     scheduler: Scheduler,
     opts: &E2eOptions,
@@ -336,7 +326,6 @@ fn measure(
         app_sized(abbrev, opts.event_budget).ok_or_else(|| format!("unknown app {abbrev}"))?;
     let topology = app.topology.clone();
     let config = EngineConfig::builder()
-        .queue_kind(kind)
         .fusion(fusion)
         .scheduler(scheduler)
         .build();
@@ -353,7 +342,6 @@ fn measure(
         .map(|(id, spec)| (spec.name.clone(), report.output_rate(id.0)))
         .collect();
     Ok(MeasuredRun {
-        queue_kind: kind,
         input_events,
         sink_events: report.sink_events,
         elapsed: report.elapsed,
@@ -416,7 +404,7 @@ fn drifting_app(abbrev: &str, budget: u64, drift_onset: u64) -> Option<AppRuntim
 /// selectivity-1 end to end (generated amounts are always positive,
 /// readings always finite); SJ's matched-pair count is the single-threaded
 /// reference oracle's, computable from the budget alone — the exactly-once
-/// join gate every leg must hit regardless of plan, fabric, or migration.
+/// join gate every leg must hit regardless of plan or migration.
 /// LR's sink counts depend on generated content, and SI's window-aggregate
 /// deliveries scale with the plan's broadcast fan-out, so only source
 /// conservation is checkable there.
@@ -464,8 +452,10 @@ fn elastic_attempt(
         // Deterministic backstop: by sample 4 the workload is solidly past
         // its onset (the pre-drift eighth of the budget drains in
         // milliseconds), so even if organic drift detection loses a race
-        // with spout exhaustion on a fast host, one re-plan — recalibrated
-        // on a drifted measurement window, hence drift-adapted — happens.
+        // with spout exhaustion on a fast host, one re-plan happens. That
+        // plan is NOT drift-adapted: the short post-onset windows fall
+        // below the model's calibration threshold, so the forced re-plan
+        // runs RLAS on the uncalibrated model.
         force_replan_after: Some(4),
         ..ElasticOptions::default()
     };
@@ -616,34 +606,28 @@ pub fn run_app(abbrev: &'static str, opts: &E2eOptions) -> Result<AppE2e, String
     let rlas = optimize(&opts.machine, &calibrated, &scaling)
         .ok_or_else(|| format!("{abbrev}: no feasible plan"))?;
 
-    // 3/4. Predict, then execute the plan under every requested fabric
-    // (operator fusion on — the engine default).
+    // 3/4. Predict, then execute the plan (operator fusion on — the
+    // engine default).
     let prediction = predict_for_plan(&opts.machine, &calibrated, &rlas.plan);
-    let mut measured = Vec::new();
-    for &kind in &opts.queue_kinds {
-        measured.push(measure(
-            abbrev,
-            &rlas.plan,
-            &prediction,
-            kind,
-            true,
-            Scheduler::ThreadPerReplica,
-            opts,
-        )?);
-    }
+    let measured = measure(
+        abbrev,
+        &rlas.plan,
+        &prediction,
+        true,
+        Scheduler::ThreadPerReplica,
+        opts,
+    )?;
 
-    // Fused-vs-unfused A/B: same plan, default fabric, fusion forced off.
-    let ab_kind = *opts.queue_kinds.first().unwrap_or(&QueueKind::Spsc);
+    // Fused-vs-unfused A/B: same plan, fusion forced off.
     let unfused = measure(
         abbrev,
         &rlas.plan,
         &prediction,
-        ab_kind,
         false,
         Scheduler::ThreadPerReplica,
         opts,
     )?;
-    let fused = measured.first().cloned().unwrap_or_else(|| unfused.clone());
+    let fused = &measured;
     let fusion_plan = FusionPlan::compute(
         &calibrated,
         &rlas.plan.replication,
@@ -680,7 +664,7 @@ pub fn run_app(abbrev: &'static str, opts: &E2eOptions) -> Result<AppE2e, String
         fused_edges_silent,
     };
 
-    // Scheduler A/B: the same plan on the default fabric, driven by the
+    // Scheduler A/B: the same plan, driven by the
     // auto-sized work-stealing pool instead of one thread per replica. The
     // pool decouples replica counts from thread counts, so on a small host
     // it is the execution mode the paper's many-replica plans actually get.
@@ -693,22 +677,13 @@ pub fn run_app(abbrev: &'static str, opts: &E2eOptions) -> Result<AppE2e, String
         abbrev,
         &rlas.plan,
         &prediction,
-        ab_kind,
         true,
         Scheduler::ThreadPerReplica,
         opts,
     )?;
     let mut pool_throughput = f64::MIN_POSITIVE;
     for _ in 0..2 {
-        let run = measure(
-            abbrev,
-            &rlas.plan,
-            &prediction,
-            ab_kind,
-            true,
-            pool_sched,
-            opts,
-        )?;
+        let run = measure(abbrev, &rlas.plan, &prediction, true, pool_sched, opts)?;
         pool_throughput = pool_throughput.max(run.throughput);
     }
     let thread_throughput = fused.throughput.max(thread_rerun.throughput);
@@ -739,12 +714,10 @@ pub fn run_app(abbrev: &'static str, opts: &E2eOptions) -> Result<AppE2e, String
         abbrev,
         &rr_plan,
         &prediction,
-        ab_kind,
         true,
         Scheduler::ThreadPerReplica,
         opts,
     )?;
-    let rlas_default = measured.first().map(|m| m.throughput).unwrap_or(f64::NAN);
 
     // The drifting-workload elastic leg, on the same calibration and the
     // same initial plan the steady-state runs above executed.
@@ -752,13 +725,14 @@ pub fn run_app(abbrev: &'static str, opts: &E2eOptions) -> Result<AppE2e, String
 
     // Exactly-once accounting across the steady-state legs: where a
     // content-independent sink count exists (for SJ, the reference join
-    // oracle's match count), every fabric leg and the fusion-off A/B must
+    // oracle's match count), the measured run and the fusion-off A/B must
     // deliver exactly that many tuples.
     let expected_steady = expected_sink_events(abbrev, opts.event_budget);
     let sink_exact = expected_steady.map_or(true, |expected| {
-        measured.iter().all(|m| m.sink_events == expected) && unfused.sink_events == expected
+        measured.sink_events == expected && unfused.sink_events == expected
     });
 
+    let rlas_over_rr = measured.throughput / rr.throughput.max(f64::MIN_POSITIVE);
     Ok(AppE2e {
         app: abbrev,
         operators: topology.operators().map(|(_, s)| s.name.clone()).collect(),
@@ -781,7 +755,7 @@ pub fn run_app(abbrev: &'static str, opts: &E2eOptions) -> Result<AppE2e, String
         expected_sink_events: expected_steady,
         sink_exact,
         rr_throughput: rr.throughput,
-        rlas_over_rr: rlas_default / rr.throughput.max(f64::MIN_POSITIVE),
+        rlas_over_rr,
         elastic,
     })
 }
@@ -823,7 +797,7 @@ pub struct InjectedRun {
 
 /// Run one application under a bounded restart policy with a deterministic
 /// panic injected into the operator `mode` selects (see [`INJECT_MODES`]):
-/// the supervision smoke leg. All-ones replication, default fabric — the
+/// the supervision smoke leg. All-ones replication, default config — the
 /// leg gates fault *handling*, not planning, so it skips the
 /// profile/optimize loop.
 pub fn run_injected(
@@ -1025,7 +999,7 @@ pub fn to_json(results: &[AppE2e], mode: &str, opts: &E2eOptions) -> String {
         "  \"description\": \"Profile -> optimize -> execute -> compare loop on the real \
          threaded engine: per app, live-profiled operator costs calibrate the model, RLAS \
          picks a plan under a virtual NUMA machine, the engine executes that plan (with \
-         Formula-2 fetch costs injected) under each queue fabric, and measured throughput/\
+         Formula-2 fetch costs injected) on the SPSC-ring queue fabric, and measured throughput/\
          latency is reported next to the model's prediction. round_robin is the same \
          replication placed round-robin across sockets; the paper's directional claim is \
          rlas_over_rr >= 1. measured_over_predicted < 1 on shared hosts is expected: the \
@@ -1063,31 +1037,28 @@ pub fn to_json(results: &[AppE2e], mode: &str, opts: &E2eOptions) -> String {
             },
             rate_map(&r.predicted_output_rates)
         ));
-        out.push_str("      \"measured\": {\n");
-        for (j, m) in r.measured.iter().enumerate() {
-            out.push_str(&format!(
-                "        \"{}\": {{\"throughput\": {}, \"per_tuple_ns\": {}, \
-                 \"input_events\": {}, \"sink_events\": {}, \
-                 \"elapsed_secs\": {:.3}, \"p50_latency_us\": {}, \"p99_latency_us\": {}, \
-                 \"queue_full_events\": {}, \"queue_crossings\": {}, \
-                 \"measured_over_predicted\": {}, \
-                 \"per_operator_output_rate\": {}}}{}\n",
-                m.queue_kind,
-                num(m.throughput),
-                num(m.per_tuple_ns),
-                m.input_events,
-                m.sink_events,
-                m.elapsed.as_secs_f64(),
-                num(m.p50_latency_us),
-                num(m.p99_latency_us),
-                m.queue_full_events,
-                m.queue_crossings,
-                ratio(m.measured_over_predicted),
-                rate_map(&m.per_operator_output_rate),
-                if j + 1 < r.measured.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("      },\n");
+        // The run's ring is the key, so the block reads as "measured on
+        // the SPSC fabric" in the committed baseline.
+        let m = &r.measured;
+        out.push_str(&format!(
+            "      \"measured\": {{\n        \"spsc\": {{\"throughput\": {}, \"per_tuple_ns\": {}, \
+             \"input_events\": {}, \"sink_events\": {}, \
+             \"elapsed_secs\": {:.3}, \"p50_latency_us\": {}, \"p99_latency_us\": {}, \
+             \"queue_full_events\": {}, \"queue_crossings\": {}, \
+             \"measured_over_predicted\": {}, \
+             \"per_operator_output_rate\": {}}}\n      }},\n",
+            num(m.throughput),
+            num(m.per_tuple_ns),
+            m.input_events,
+            m.sink_events,
+            m.elapsed.as_secs_f64(),
+            num(m.p50_latency_us),
+            num(m.p99_latency_us),
+            m.queue_full_events,
+            m.queue_crossings,
+            ratio(m.measured_over_predicted),
+            rate_map(&m.per_operator_output_rate),
+        ));
         out.push_str(&format!(
             "      \"fusion\": {{\"fused_ops\": {}, \"fused_edges\": {}, \
              \"spawned_executors\": {}, \"fused_throughput\": {}, \
@@ -1137,13 +1108,16 @@ pub fn to_json(results: &[AppE2e], mode: &str, opts: &E2eOptions) -> String {
         ));
     }
     out.push_str("  ],\n");
-    // Flat per-app guard numbers (default-fabric measured throughput) for
-    // the bench_check regression gate.
+    // Flat per-app guard numbers (measured throughput) for the
+    // bench_check regression gate.
     let guard: Vec<String> = results
         .iter()
         .map(|r| {
-            let t = r.measured.first().map(|m| m.throughput).unwrap_or(0.0);
-            format!("\"{}\": {}", r.app.to_lowercase(), num(t))
+            format!(
+                "\"{}\": {}",
+                r.app.to_lowercase(),
+                num(r.measured.throughput)
+            )
         })
         .collect();
     out.push_str(&format!("  \"guard\": {{{}}},\n", guard.join(", ")));
@@ -1292,8 +1266,7 @@ mod tests {
             predicted_throughput: 1234.5,
             predicted_output_rates: vec![("spout".into(), 1234.5)],
             predicted_bottleneck: Some("spout".into()),
-            measured: vec![MeasuredRun {
-                queue_kind: QueueKind::Spsc,
+            measured: MeasuredRun {
                 input_events: 100,
                 sink_events: 100,
                 elapsed: Duration::from_millis(10),
@@ -1306,7 +1279,7 @@ mod tests {
                 per_operator_queue_pushes: vec![7, 0],
                 per_operator_output_rate: vec![("spout".into(), 999.25)],
                 measured_over_predicted: 0.81,
-            }],
+            },
             fusion: FusionAB {
                 fused_ops: 1,
                 fused_edges: 1,
@@ -1333,6 +1306,7 @@ mod tests {
         };
         let json = to_json(&[fake], "smoke", &E2eOptions::tiny());
         assert!(json.contains("\"guard\": {\"wc\": 999.2}"), "{json}");
+        assert!(json.contains("\"spsc\": {\"throughput\": 999.2,"), "{json}");
         assert!(json.contains("\"sink_acceptance\""), "{json}");
         assert!(json.contains("\"sink_exact\": true"), "{json}");
         assert!(json.contains("\"elastic_acceptance\""), "{json}");

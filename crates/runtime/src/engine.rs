@@ -20,9 +20,8 @@ use crate::operator::{
     OutputEdge, SpoutStatus, StateEntry,
 };
 use crate::partition::Partitioner;
-use crate::queue::{QueueKind, ReplicaQueue};
 use crate::scheduler::{self, PoolRun, Scheduler, WakeHub};
-use crate::spsc::{Backoff, BackoffProfile};
+use crate::spsc::{Backoff, BackoffProfile, SpscQueue};
 use crate::supervise::{
     self, panic_message, FaultKind, FaultSummary, ReplicaFault, RestartPolicy, StallEvent,
     WatchEntry,
@@ -71,10 +70,9 @@ impl NumaPenalty {
 /// being breaking changes.
 ///
 /// ```
-/// use brisk_runtime::{EngineConfig, QueueKind, Scheduler};
+/// use brisk_runtime::{EngineConfig, Scheduler};
 ///
 /// let config = EngineConfig::builder()
-///     .queue_kind(QueueKind::Mpsc)
 ///     .fusion(false)
 ///     .scheduler(Scheduler::CorePool { workers: 4 })
 ///     .build();
@@ -83,11 +81,15 @@ impl NumaPenalty {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EngineConfig {
-    /// Which queue fabric wires replica pairs (default: lock-free SPSC).
-    pub queue_kind: QueueKind,
     /// Queue capacity in jumbo tuples.
     pub queue_capacity: usize,
     /// Tuples batched per jumbo tuple (1 disables the jumbo optimization).
+    ///
+    /// This is a seal threshold, not a cap. Under [`Scheduler::CorePool`]
+    /// a back-pressured task stops sealing at this size: its open batch
+    /// keeps growing until the next flush, which ships it as one jumbo
+    /// larger than `jumbo_size`. That is why tuples per crossing can
+    /// exceed `jumbo_size` in pool runs.
     pub jumbo_size: usize,
     /// Park interval ceiling for the adaptive spin → yield → park back-off
     /// ladder (see [`Backoff`]) — governs both idle executors polling
@@ -128,7 +130,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            queue_kind: QueueKind::default(),
             queue_capacity: 64,
             jumbo_size: 64,
             poll_backoff: Duration::from_micros(100),
@@ -159,12 +160,6 @@ pub struct EngineConfigBuilder {
 }
 
 impl EngineConfigBuilder {
-    /// Queue fabric wiring replica pairs ([`EngineConfig::queue_kind`]).
-    pub fn queue_kind(mut self, kind: QueueKind) -> Self {
-        self.config.queue_kind = kind;
-        self
-    }
-
     /// Queue capacity in jumbos ([`EngineConfig::queue_capacity`]).
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity;
@@ -443,11 +438,10 @@ impl RunReport {
 /// One wired input of a replica: the queue plus the Formula 2 bookkeeping
 /// the consumer charges per pop.
 pub(crate) struct InputPort {
-    pub(crate) queue: Arc<ReplicaQueue<JumboTuple>>,
+    pub(crate) queue: Arc<SpscQueue<JumboTuple>>,
     /// Output bytes per tuple of the producing operator (Formula 2's `N`).
     /// The producing *replica* is read per jumbo from
-    /// [`JumboTuple::producer`], since fan-in (MPSC) ports carry jumbos
-    /// from several producer replicas.
+    /// [`JumboTuple::producer`].
     pub(crate) producer_bytes: f64,
 }
 
@@ -601,14 +595,14 @@ impl Engine {
     ///
     /// # Example
     ///
-    /// Build a tiny spout → bolt → sink app, pick the queue fabric, fusion
-    /// and scheduler through the config builder, and run to exhaustion:
+    /// Build a tiny spout → bolt → sink app, pick fusion and the scheduler
+    /// through the config builder, and run to exhaustion:
     ///
     /// ```
     /// use brisk_dag::{CostProfile, TopologyBuilder, DEFAULT_STREAM};
     /// use brisk_runtime::{
-    ///     AppRuntime, Collector, DynBolt, DynSpout, Engine, EngineConfig, QueueKind, RunLimit,
-    ///     Scheduler, SpoutStatus, TupleView,
+    ///     AppRuntime, Collector, DynBolt, DynSpout, Engine, EngineConfig, RunLimit, Scheduler,
+    ///     SpoutStatus, TupleView,
     /// };
     /// use std::time::Duration;
     ///
@@ -654,7 +648,6 @@ impl Engine {
     ///     .sink(k, |_| Discard);
     ///
     /// let config = EngineConfig::builder()
-    ///     .queue_kind(QueueKind::Spsc)
     ///     .fusion(true)
     ///     .scheduler(Scheduler::CorePool { workers: 2 })
     ///     .build();
@@ -744,118 +737,8 @@ impl Engine {
             })
             .collect();
 
-        // Queues per unfused logical edge. Output edges are grouped per
-        // (operator, local replica) because fused-away operators emit from
-        // their host's thread rather than a replica of their own.
-        let mut inputs: Vec<Vec<InputPort>> = (0..total_replicas).map(|_| Vec::new()).collect();
-        let mut op_outputs: Vec<Vec<Vec<OutputEdge>>> = self
-            .replication
-            .iter()
-            .map(|&r| (0..r).map(|_| Vec::new()).collect())
-            .collect();
-        for (lei, edge) in topology.edges().iter().enumerate() {
-            if fusion.is_edge_fused(lei) {
-                continue; // delivered inline by the host executor
-            }
-            let np = self.replication[edge.from.0];
-            let nc = match edge.partitioning {
-                Partitioning::Global => 1,
-                _ => self.replication[edge.to.0],
-            };
-            let producer_bytes = topology.operator(edge.from).cost.output_bytes;
-            if matches!(edge.partitioning, Partitioning::Global) && np > 1 {
-                // Funnel: several producer replicas feed the one consumer
-                // replica. Sharing an SpscQueue between producers would be
-                // a data race, so the wiring upgrades to the fan-in (MPSC)
-                // fabric and the consumer polls a single port.
-                let kind = self.config.queue_kind.for_producers(np);
-                let q = Arc::new(ReplicaQueue::with_profile(
-                    kind,
-                    self.config.queue_capacity,
-                    backoff_profile,
-                ));
-                inputs[replica_base[edge.to.0]].push(InputPort {
-                    queue: Arc::clone(&q),
-                    producer_bytes,
-                });
-                for (r, outputs) in op_outputs[edge.from.0].iter_mut().enumerate().take(np) {
-                    outputs.push(OutputEdge::new(
-                        lei,
-                        edge.stream.clone(),
-                        Partitioner::new(edge.partitioning, 1),
-                        vec![Arc::clone(&q)],
-                        vec![replica_base[edge.to.0]],
-                        &pools[edge.from.0][r],
-                    ));
-                }
-                continue;
-            }
-            if matches!(edge.partitioning, Partitioning::Forward) && np == nc {
-                // Local forwarding at equal counts pins producer replica r
-                // to consumer replica r, so only that one queue exists per
-                // producer. (At unequal counts the pairing is meaningless
-                // and the edge falls through to the general wiring below,
-                // where the Forward partitioner degrades to Shuffle — the
-                // model's even-spread, work-conserving treatment is then
-                // exact.)
-                for (r, outputs) in op_outputs[edge.from.0].iter_mut().enumerate().take(np) {
-                    let cg = replica_base[edge.to.0] + r;
-                    let q = Arc::new(ReplicaQueue::with_profile(
-                        self.config.queue_kind,
-                        self.config.queue_capacity,
-                        backoff_profile,
-                    ));
-                    inputs[cg].push(InputPort {
-                        queue: Arc::clone(&q),
-                        producer_bytes,
-                    });
-                    // One queue: the router degenerates to "target 0".
-                    outputs.push(OutputEdge::new(
-                        lei,
-                        edge.stream.clone(),
-                        Partitioner::new(edge.partitioning, 1),
-                        vec![q],
-                        vec![cg],
-                        &pools[edge.from.0][r],
-                    ));
-                }
-                continue;
-            }
-            for (r, outputs) in op_outputs[edge.from.0].iter_mut().enumerate().take(np) {
-                let mut queues = Vec::with_capacity(nc);
-                let mut consumers = Vec::with_capacity(nc);
-                for c in 0..nc {
-                    let cg = replica_base[edge.to.0] + c;
-                    // One producer replica, one consumer replica: the SPSC
-                    // fabric's contract holds by construction.
-                    let q = Arc::new(ReplicaQueue::with_profile(
-                        self.config.queue_kind,
-                        self.config.queue_capacity,
-                        backoff_profile,
-                    ));
-                    inputs[cg].push(InputPort {
-                        queue: Arc::clone(&q),
-                        producer_bytes,
-                    });
-                    queues.push(q);
-                    consumers.push(cg);
-                }
-                // Skew-aware KeyBy re-weighting: the controller's measured
-                // per-replica load lands here as a weighted slot table.
-                let mut partitioner = Partitioner::new(edge.partitioning, nc);
-                if let Some(w) = self.keyby_weights.get(&edge.to.0) {
-                    partitioner = partitioner.with_weights(w);
-                }
-                outputs.push(OutputEdge::new(
-                    lei,
-                    edge.stream.clone(),
-                    partitioner,
-                    queues,
-                    consumers,
-                    &pools[edge.from.0][r],
-                ));
-            }
-        }
+        let (inputs, mut op_outputs) =
+            self.wire_queues(&fusion, &replica_base, &pools, backoff_profile);
 
         // Shared run state. `live_replicas` counts tasks still running:
         // it lets the driver stop waiting early when finite (sized) spouts
@@ -1080,7 +963,7 @@ impl Engine {
                         // its accounting so the run can wind down.
                         let global = seed.global;
                         let hosted = seed.collector.hosted_ops();
-                        let input_queues: Vec<Arc<ReplicaQueue<JumboTuple>>> =
+                        let input_queues: Vec<Arc<SpscQueue<JumboTuple>>> =
                             seed.ports.iter().map(|p| Arc::clone(&p.queue)).collect();
                         let handle = std::thread::Builder::new()
                             .name(seed.name.clone())
@@ -1117,6 +1000,105 @@ impl Engine {
             limit: condition,
             started,
         }
+    }
+
+    /// Wire one SPSC queue per (producer replica, consumer replica) pair of
+    /// every unfused logical edge. Returns each global replica's input
+    /// ports and each (operator, local replica)'s output edges; output
+    /// edges are grouped per (operator, local replica) because fused-away
+    /// operators emit from their host's thread rather than a replica of
+    /// their own.
+    fn wire_queues(
+        &self,
+        fusion: &FusionPlan,
+        replica_base: &[usize],
+        pools: &[Vec<Arc<SlabPool>>],
+        backoff_profile: BackoffProfile,
+    ) -> (Vec<Vec<InputPort>>, Vec<Vec<Vec<OutputEdge>>>) {
+        let topology = &self.app.topology;
+        let total_replicas: usize = self.replication.iter().sum();
+        let mut inputs: Vec<Vec<InputPort>> = (0..total_replicas).map(|_| Vec::new()).collect();
+        let mut op_outputs: Vec<Vec<Vec<OutputEdge>>> = self
+            .replication
+            .iter()
+            .map(|&r| (0..r).map(|_| Vec::new()).collect())
+            .collect();
+        for (lei, edge) in topology.edges().iter().enumerate() {
+            if fusion.is_edge_fused(lei) {
+                continue; // delivered inline by the host executor
+            }
+            let np = self.replication[edge.from.0];
+            let nc = match edge.partitioning {
+                Partitioning::Global => 1,
+                _ => self.replication[edge.to.0],
+            };
+            let producer_bytes = topology.operator(edge.from).cost.output_bytes;
+            if matches!(edge.partitioning, Partitioning::Forward) && np == nc {
+                // Local forwarding at equal counts pins producer replica r
+                // to consumer replica r, so only that one queue exists per
+                // producer. (At unequal counts the pairing is meaningless
+                // and the edge falls through to the general wiring below,
+                // where the Forward partitioner degrades to Shuffle — the
+                // model's even-spread, work-conserving treatment is then
+                // exact.)
+                for (r, outputs) in op_outputs[edge.from.0].iter_mut().enumerate().take(np) {
+                    let cg = replica_base[edge.to.0] + r;
+                    let q = Arc::new(SpscQueue::with_profile(
+                        self.config.queue_capacity,
+                        backoff_profile,
+                    ));
+                    inputs[cg].push(InputPort {
+                        queue: Arc::clone(&q),
+                        producer_bytes,
+                    });
+                    // One queue: the router degenerates to "target 0".
+                    outputs.push(OutputEdge::new(
+                        lei,
+                        edge.stream.clone(),
+                        Partitioner::new(edge.partitioning, 1),
+                        vec![q],
+                        vec![cg],
+                        &pools[edge.from.0][r],
+                    ));
+                }
+                continue;
+            }
+            for (r, outputs) in op_outputs[edge.from.0].iter_mut().enumerate().take(np) {
+                let mut queues = Vec::with_capacity(nc);
+                let mut consumers = Vec::with_capacity(nc);
+                for c in 0..nc {
+                    let cg = replica_base[edge.to.0] + c;
+                    // One producer replica, one consumer replica: the SPSC
+                    // ring's contract holds by construction. A `Global`
+                    // funnel (nc = 1) gets one port per producer replica.
+                    let q = Arc::new(SpscQueue::with_profile(
+                        self.config.queue_capacity,
+                        backoff_profile,
+                    ));
+                    inputs[cg].push(InputPort {
+                        queue: Arc::clone(&q),
+                        producer_bytes,
+                    });
+                    queues.push(q);
+                    consumers.push(cg);
+                }
+                // Skew-aware KeyBy re-weighting: the controller's measured
+                // per-replica load lands here as a weighted slot table.
+                let mut partitioner = Partitioner::new(edge.partitioning, nc);
+                if let Some(w) = self.keyby_weights.get(&edge.to.0) {
+                    partitioner = partitioner.with_weights(w);
+                }
+                outputs.push(OutputEdge::new(
+                    lei,
+                    edge.stream.clone(),
+                    partitioner,
+                    queues,
+                    consumers,
+                    &pools[edge.from.0][r],
+                ));
+            }
+        }
+        (inputs, op_outputs)
     }
 }
 
@@ -1604,7 +1586,7 @@ pub(crate) fn emergency_retire(
     replica: usize,
     global: usize,
     hosted_ops: &[usize],
-    input_queues: &[Arc<ReplicaQueue<JumboTuple>>],
+    input_queues: &[Arc<SpscQueue<JumboTuple>>],
     message: String,
 ) {
     shared.record_fault(op_index, replica, FaultKind::ExecutorLoss, message, false);
@@ -1894,9 +1876,8 @@ pub(crate) fn consume_batch(
     let producer_bytes = ports[state.batch_port].producer_bytes;
     while !state.batch.is_empty() {
         let jumbo = state.batch.remove(0);
-        // Injected virtual-NUMA fetch penalty (Formula 2). The producing
-        // replica is read off the jumbo header, since fan-in (MPSC) ports
-        // interleave several producers.
+        // Injected virtual-NUMA fetch penalty (Formula 2), charged against
+        // the producing replica named on the jumbo header.
         if let Some(p) = &shared.config.numa_penalty {
             let ns = p.fetch_ns(
                 jumbo.producer,
@@ -2471,36 +2452,85 @@ mod tests {
         );
     }
 
-    fn global_funnel_app(limit: u64) -> AppRuntime {
+    /// Sink appending every value it receives to a shared log.
+    struct RecordingSink(Arc<Mutex<Vec<u64>>>);
+    impl DynBolt for RecordingSink {
+        fn execute(&mut self, t: &TupleView<'_>, _c: &mut Collector) {
+            self.0.lock().push(*t.value::<u64>().expect("u64 payload"));
+        }
+    }
+
+    /// `Global` funnel: spout replica r emits r*limit .. (r+1)*limit in
+    /// order into the single sink replica, which logs arrivals.
+    fn global_funnel_app(limit: u64, log: &Arc<Mutex<Vec<u64>>>) -> AppRuntime {
         let mut b = TopologyBuilder::new("funnel");
         let s = b.add_spout("s", CostProfile::trivial());
         let k = b.add_sink("k", CostProfile::trivial());
         b.connect(s, DEFAULT_STREAM, k, brisk_dag::Partitioning::Global);
         let t = b.build().expect("valid");
         let (s, k) = (t.find("s").expect("s"), t.find("k").expect("k"));
+        let log = Arc::clone(log);
         AppRuntime::new(t)
             .spout(s, move |ctx| CountingSpout {
                 next: ctx.replica as u64 * limit,
                 limit: (ctx.replica as u64 + 1) * limit,
             })
-            .sink(k, |_| NullSink)
+            .sink(k, move |_| RecordingSink(Arc::clone(&log)))
     }
 
     #[test]
-    fn global_funnel_routes_multiple_producers_through_the_mpsc_fabric() {
+    fn global_funnel_wires_one_spsc_port_per_producer() {
         // Three spout replicas funnel into one sink replica over a Global
-        // edge: under the SPSC preference the engine must upgrade the
-        // shared queue to the MPSC ring — the debug tripwires would panic
-        // if an SpscQueue ever saw two producers. Every tuple arrives
-        // exactly once.
-        for kind in [QueueKind::Spsc, QueueKind::Mutex, QueueKind::Mpsc] {
-            let config = EngineConfig::builder().queue_kind(kind).build();
-            let engine =
-                Engine::new(global_funnel_app(400), vec![3, 1], config).expect("valid engine");
-            let report = engine.run_until_events(1200, Duration::from_secs(20));
-            assert_eq!(report.sink_events, 1200, "{kind}");
-            assert_eq!(report.operator(0).emitted, 1200, "{kind}");
-            assert_eq!(report.operator(1).processed, 1200, "{kind}");
+        // edge. The funnel takes the generic wiring with one consumer:
+        // the sink replica polls one SPSC port per producer replica, so no
+        // ring ever has two producers (in debug builds the ring's role
+        // tripwire would panic if one did). Every tuple arrives exactly
+        // once, and each producer's sequence arrives in order.
+        const LIMIT: u64 = 400;
+        for scheduler in [
+            Scheduler::ThreadPerReplica,
+            Scheduler::CorePool { workers: 2 },
+        ] {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let config = EngineConfig::builder()
+                .queue_capacity(2)
+                .jumbo_size(8)
+                .scheduler(scheduler)
+                .build();
+            let engine = Engine::new(global_funnel_app(LIMIT, &log), vec![3, 1], config)
+                .expect("valid engine");
+
+            let fusion = FusionPlan::compute(
+                &engine.app.topology,
+                &engine.replication,
+                engine.replica_sockets(),
+            );
+            let pools: Vec<Vec<Arc<SlabPool>>> = engine
+                .replication
+                .iter()
+                .map(|&r| (0..r).map(|_| SlabPool::standalone()).collect())
+                .collect();
+            let profile = BackoffProfile::dedicated(Duration::from_micros(100));
+            let (inputs, _) = engine.wire_queues(&fusion, &[0, 3], &pools, profile);
+            assert_eq!(inputs[3].len(), 3, "{scheduler:?}: one port per producer");
+
+            let report = engine.run_until_events(3 * LIMIT, Duration::from_secs(30));
+            assert_eq!(report.sink_events, 3 * LIMIT, "{scheduler:?}");
+            let log = log.lock();
+            let mut sorted = log.clone();
+            sorted.sort_unstable();
+            assert_eq!(
+                sorted,
+                (0..3 * LIMIT).collect::<Vec<_>>(),
+                "{scheduler:?}: every tuple exactly once"
+            );
+            for p in 0..3 {
+                let seq: Vec<u64> = log.iter().copied().filter(|v| v / LIMIT == p).collect();
+                assert!(
+                    seq.windows(2).all(|w| w[0] < w[1]),
+                    "{scheduler:?}: producer {p} arrived out of order"
+                );
+            }
         }
     }
 

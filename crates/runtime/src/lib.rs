@@ -20,13 +20,12 @@
 //! * **Bounded queues with back-pressure**: when a consumer falls behind,
 //!   its input queues fill and producers block, eventually throttling the
 //!   spout so the system settles at its maximum sustainable rate
-//!   (Section 6.1, footnote 2). Where the engine wires exactly one
-//!   producer replica to a queue, the default fabric is a **lock-free
-//!   cache-conscious SPSC ring** ([`SpscQueue`]); genuinely multi-producer
-//!   wiring (a multi-replica `Global` funnel) automatically upgrades to the
-//!   **CAS-claimed MPSC ring** ([`MpscQueue`]), and the mutex+condvar
-//!   [`BoundedQueue`] remains available via [`QueueKind`] for A/B
-//!   comparison. Idle executors and blocked producers wait on an adaptive
+//!   (Section 6.1, footnote 2). Every queue is a **lock-free
+//!   cache-conscious SPSC ring** ([`SpscQueue`]): the engine wires one
+//!   ring per (producer replica, consumer replica) pair, so each ring has
+//!   exactly one producer by construction — a multi-replica `Global`
+//!   funnel gives its single consumer one port per producer replica.
+//!   Idle executors and blocked producers wait on an adaptive
 //!   **spin → yield → park** ladder ([`Backoff`]) whose rung layout
 //!   ([`BackoffProfile`]) turns park-dominant when replica threads
 //!   outnumber hardware cores.
@@ -56,7 +55,7 @@
 //!   An optional stall watchdog ([`EngineConfig::stall_deadline`]) flags
 //!   no-progress replicas without ever killing one, and the deterministic
 //!   [`FaultPlan`] harness ([`faultinject`]) drives fault-conformance
-//!   testing across schedulers, fabrics and fusion settings.
+//!   testing across schedulers and fusion settings.
 //!
 //! * **Elastic execution** ([`elastic`]): the profile → optimize → execute
 //!   life cycle runs continuously. An [`ElasticEngine`] samples live
@@ -82,10 +81,8 @@ pub mod elastic;
 pub mod engine;
 pub mod faultinject;
 pub mod fusion;
-pub mod mpsc;
 pub mod operator;
 pub mod partition;
-pub mod queue;
 pub mod scheduler;
 pub mod spsc;
 pub mod supervise;
@@ -99,12 +96,10 @@ pub use engine::{
     NumaPenalty, OpStats, ReplicaRate, RunLimit, RunReport,
 };
 pub use faultinject::{silence_injected_panics, FaultPlan, INJECTED_PANIC_PREFIX};
-pub use mpsc::MpscQueue;
 pub use operator::{
     AppRuntime, BoltContext, Collector, DynBolt, DynSpout, OperatorRuntime, SpoutStatus, StateEntry,
 };
 pub use partition::{keyby_slot_table, route_keyed, Partitioner, KEYBY_SLOTS_PER_CONSUMER};
-pub use queue::{BoundedQueue, QueueKind, ReplicaQueue};
 pub use scheduler::Scheduler;
 pub use spsc::{Backoff, BackoffProfile, PushError, SpscQueue};
 pub use supervise::{

@@ -12,9 +12,8 @@
 use crate::batch::{Batch, BatchBuilder, BatchCursor, SlabPool, TupleView};
 use crate::fusion::FusedTarget;
 use crate::partition::{Partitioner, RouteTargets};
-use crate::queue::{QueueKind, ReplicaQueue};
 use crate::scheduler::WakeHub;
-use crate::spsc::PushError;
+use crate::spsc::{PushError, SpscQueue};
 use crate::tuple::{JumboTuple, Tuple};
 use brisk_dag::{LogicalTopology, OperatorId, OperatorKind};
 use std::any::Any;
@@ -248,7 +247,7 @@ pub(crate) struct OutputEdge {
     /// replicas are simply absent: queue list is indexed by consumer
     /// replica). Each queue has this task as its only producer, which is
     /// what makes the SPSC fabric exact.
-    pub queues: Vec<Arc<ReplicaQueue<JumboTuple>>>,
+    pub queues: Vec<Arc<SpscQueue<JumboTuple>>>,
     /// Global replica index of the consumer behind each queue — the
     /// core-pool scheduler's wake-on-push target (unused, but cheap to
     /// carry, under thread-per-replica execution).
@@ -269,7 +268,7 @@ impl OutputEdge {
         logical_edge: usize,
         stream: String,
         partitioner: Partitioner,
-        queues: Vec<Arc<ReplicaQueue<JumboTuple>>>,
+        queues: Vec<Arc<SpscQueue<JumboTuple>>>,
         consumers: Vec<usize>,
         pool: &Arc<SlabPool>,
     ) -> OutputEdge {
@@ -724,7 +723,7 @@ impl Collector {
     /// Every destination queue reachable from this collector, including
     /// queues owned by fused targets down the chain — the stall watchdog's
     /// back-pressure disambiguation set.
-    pub(crate) fn queue_handles(&self) -> Vec<Arc<ReplicaQueue<JumboTuple>>> {
+    pub(crate) fn queue_handles(&self) -> Vec<Arc<SpscQueue<JumboTuple>>> {
         let mut out = Vec::new();
         for e in &self.edges {
             for q in &e.queues {
@@ -752,7 +751,7 @@ impl Collector {
 
 /// Capture taps returned by [`Collector::capture`]: one `(stream name,
 /// queue)` pair per outgoing edge of the captured operator.
-pub type CaptureTaps = Vec<(String, Arc<ReplicaQueue<JumboTuple>>)>;
+pub type CaptureTaps = Vec<(String, Arc<SpscQueue<JumboTuple>>)>;
 
 impl Collector {
     /// A standalone collector that *captures* emissions instead of shipping
@@ -774,7 +773,7 @@ impl Collector {
             if edge.from != op {
                 continue;
             }
-            let queue = Arc::new(ReplicaQueue::new(QueueKind::default(), capacity));
+            let queue = Arc::new(SpscQueue::new(capacity));
             taps.push((edge.stream.clone(), Arc::clone(&queue)));
             edges.push(OutputEdge::new(
                 lei,
@@ -862,7 +861,7 @@ mod tests {
         assert!(app.validate().is_ok());
     }
 
-    fn shuffle_edge(q: &Arc<ReplicaQueue<JumboTuple>>) -> OutputEdge {
+    fn shuffle_edge(q: &Arc<SpscQueue<JumboTuple>>) -> OutputEdge {
         OutputEdge::new(
             0,
             DEFAULT_STREAM.to_string(),
@@ -875,7 +874,7 @@ mod tests {
 
     #[test]
     fn collector_batches_into_jumbos() {
-        let q = Arc::new(ReplicaQueue::new(QueueKind::default(), 16));
+        let q = Arc::new(SpscQueue::new(16));
         let edge = shuffle_edge(&q);
         let mut c = Collector::new(0, 4, vec![edge], Arc::new(EngineClock::new()));
         for i in 0..10u32 {
@@ -899,7 +898,7 @@ mod tests {
 
     #[test]
     fn deprecated_emit_rides_the_batch_fabric() {
-        let q = Arc::new(ReplicaQueue::new(QueueKind::default(), 16));
+        let q = Arc::new(SpscQueue::new(16));
         let edge = shuffle_edge(&q);
         let mut c = Collector::new(0, 2, vec![edge], Arc::new(EngineClock::new()));
         #[allow(deprecated)]
@@ -915,7 +914,7 @@ mod tests {
 
     #[test]
     fn heterogeneous_stream_seals_per_type_in_order() {
-        let q = Arc::new(ReplicaQueue::new(QueueKind::default(), 16));
+        let q = Arc::new(SpscQueue::new(16));
         let edge = shuffle_edge(&q);
         let mut c = Collector::new(0, 64, vec![edge], Arc::new(EngineClock::new()));
         c.send_default(1u32, 0, 0);
@@ -947,9 +946,8 @@ mod tests {
         // (one queue push per destination) is unchanged, and the sealed
         // storage recycles once every handle drops.
         let pool = crate::batch::SlabPool::standalone();
-        let queues: Vec<Arc<ReplicaQueue<JumboTuple>>> = (0..3)
-            .map(|_| Arc::new(ReplicaQueue::new(QueueKind::default(), 16)))
-            .collect();
+        let queues: Vec<Arc<SpscQueue<JumboTuple>>> =
+            (0..3).map(|_| Arc::new(SpscQueue::new(16))).collect();
         let edge = OutputEdge::new(
             0,
             DEFAULT_STREAM.to_string(),
@@ -988,9 +986,9 @@ mod tests {
         // the same slab — seals stay one maintainer's worth, however
         // many queries attach.
         let pool = crate::batch::SlabPool::standalone();
-        let mk = || Arc::new(ReplicaQueue::new(QueueKind::default(), 16));
-        let q_point: Vec<Arc<ReplicaQueue<JumboTuple>>> = (0..2).map(|_| mk()).collect();
-        let q_agg: Vec<Arc<ReplicaQueue<JumboTuple>>> = (0..3).map(|_| mk()).collect();
+        let mk = || Arc::new(SpscQueue::new(16));
+        let q_point: Vec<Arc<SpscQueue<JumboTuple>>> = (0..2).map(|_| mk()).collect();
+        let q_agg: Vec<Arc<SpscQueue<JumboTuple>>> = (0..3).map(|_| mk()).collect();
         let point_edge = OutputEdge::new(
             0,
             "arranged".to_string(),
@@ -1039,6 +1037,45 @@ mod tests {
         drop(jumbos);
         drop(c);
         assert_eq!(pool.stats().outstanding(), 0, "storage recycled");
+    }
+
+    #[test]
+    fn back_pressured_pool_collector_ships_one_oversized_jumbo() {
+        // A non-blocking (core-pool) collector on a capacity-1 queue: once
+        // a push finds the queue full, sends stop sealing at `jumbo_size`,
+        // so everything sent while back-pressured ships as ONE jumbo larger
+        // than `jumbo_size` on a later flush, and the whole episode counts
+        // as a single stall.
+        let q = Arc::new(SpscQueue::new(1));
+        let edge = shuffle_edge(&q);
+        let hub = Arc::new(WakeHub::new(1));
+        let mut c =
+            Collector::new(0, 4, vec![edge], Arc::new(EngineClock::new())).with_wake_hub(hub);
+        // First jumbo fills the queue; the second finds it full.
+        for i in 0..8u64 {
+            c.send_default(i, 0, 0);
+        }
+        assert_eq!(c.stalled_flushes, 1);
+        assert!(c.is_backpressured());
+        // Far beyond jumbo_size while back-pressured: nothing seals.
+        for i in 8..30u64 {
+            c.send_default(i, 0, 0);
+        }
+        let mut popped = vec![q.try_pop().expect("first jumbo")];
+        c.flush_all(); // ships the parked jumbo; the queue is full again
+        popped.push(q.try_pop().expect("parked jumbo"));
+        c.flush_all();
+        popped.push(q.try_pop().expect("oversized jumbo"));
+        assert!(!c.is_backpressured());
+        assert_eq!(c.stalled_flushes, 1, "one back-pressure episode");
+        assert_eq!(c.flushes, 3);
+        let lens: Vec<usize> = popped.iter().map(|j| j.len()).collect();
+        assert_eq!(lens, vec![4, 4, 22]);
+        assert_eq!(
+            popped[2].batch.payloads::<u64>().expect("typed"),
+            (8..30).collect::<Vec<_>>().as_slice(),
+            "one jumbo carries every tuple sent while back-pressured"
+        );
     }
 
     #[test]

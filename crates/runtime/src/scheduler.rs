@@ -63,8 +63,7 @@ use crate::engine::{
 };
 use crate::fusion::SinkLocal;
 use crate::operator::{BoltContext, Collector, DynSpout, OperatorRuntime, SpoutStatus};
-use crate::queue::ReplicaQueue;
-use crate::spsc::Backoff;
+use crate::spsc::{Backoff, SpscQueue};
 use crate::supervise::{panic_message, FaultKind};
 use crate::tuple::JumboTuple;
 use parking_lot::Mutex;
@@ -189,7 +188,7 @@ impl WakeHub {
 /// Sleep-path recheck data, kept outside the task slot so the lost-wakeup
 /// guard can inspect a task's inputs *after* returning it to its slot.
 struct TaskMeta {
-    queues: Vec<Arc<ReplicaQueue<JumboTuple>>>,
+    queues: Vec<Arc<SpscQueue<JumboTuple>>>,
     producer_ops: Vec<usize>,
 }
 
@@ -714,7 +713,7 @@ fn worker_loop(w: usize, pool: &PoolShared, shared: &EngineShared) {
                     Ok(outcome) => outcome,
                     Err(payload) => {
                         let hosted = task.collector.hosted_ops();
-                        let input_queues: Vec<Arc<ReplicaQueue<JumboTuple>>> =
+                        let input_queues: Vec<Arc<SpscQueue<JumboTuple>>> =
                             task.ports.iter().map(|p| Arc::clone(&p.queue)).collect();
                         emergency_retire(
                             shared,

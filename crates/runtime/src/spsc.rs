@@ -1,9 +1,10 @@
-//! Cache-conscious lock-free SPSC ring buffer — the fast queue fabric.
+//! Cache-conscious lock-free SPSC ring buffer — the engine's only queue.
 //!
 //! The engine wires **exactly one** producer replica to **exactly one**
-//! consumer replica per queue (see `Engine::run_inner`), so the general
-//! MPSC mutex queue pays for synchronization nobody needs. This ring
-//! exploits the 1:1 structure:
+//! consumer replica per queue (see `Engine::wire_queues`; a multi-replica
+//! `Global` funnel gets one ring per producer replica), so no queue ever
+//! pays for multi-producer synchronization. The ring exploits the 1:1
+//! structure:
 //!
 //! * **Fixed power-of-two ring** of `UnsafeCell<MaybeUninit<T>>` slots;
 //!   head/tail are monotonically increasing indices masked into the ring,
@@ -17,8 +18,8 @@
 //!   cached tail. In steady state each side touches only its own line —
 //!   cross-core cache-line bouncing drops to ~one transfer per
 //!   `capacity` operations instead of one per operation.
-//! * **Batch `push_n`/`pop_n`**: one index publish moves a whole group of
-//!   jumbo tuples, amortizing even the single remaining release-store.
+//! * **Batch `pop_n`**: one head publish drains a whole group of jumbo
+//!   tuples, amortizing even the single remaining release-store.
 //! * **Hybrid wait strategy** ([`Backoff`]): a blocked producer walks a
 //!   spin → yield → park ladder instead of taking a condvar, preserving
 //!   blocking back-pressure without a lock on the hot path.
@@ -29,29 +30,24 @@
 //! a time. Either role may migrate to a different thread only through an
 //! external happens-before edge (thread spawn/join, channel handoff).
 //! Violating this is a data race (undefined behaviour) — the engine's
-//! per-pair wiring guarantees it by construction, and [`crate::queue::QueueKind`]
-//! keeps the mutex queue available for genuinely multi-producer uses.
-//! Debug builds carry a best-effort tripwire that panics when it observes
-//! two threads inside the same role concurrently; release builds pay
-//! nothing. `len`, `is_empty`, `close` and `is_closed` are safe from any
-//! thread.
+//! per-pair wiring guarantees it by construction. Debug builds carry a
+//! best-effort tripwire that panics when it observes two threads inside
+//! the same role concurrently; release builds pay nothing. `len`,
+//! `is_empty`, `close` and `is_closed` are safe from any thread.
 //!
-//! Close/drain semantics match [`crate::queue::BoundedQueue`]: `close`
-//! fails subsequent pushes and unblocks waiting producers (they observe the
-//! flag within one park interval), while items already in the ring remain
-//! poppable so shutdown drains every in-flight tuple.
+//! `close` fails subsequent pushes and unblocks waiting producers (they
+//! observe the flag within one park interval), while items already in the
+//! ring remain poppable so shutdown drains every in-flight tuple.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Pad-and-align wrapper keeping a value on its own cache line (128 bytes
 /// covers the spatial-prefetcher pair on x86 and big.LITTLE lines on arm).
-/// Shared with the MPSC ring ([`crate::mpsc`]), which reuses this padded
-/// ring skeleton with CAS-claimed slots.
 #[repr(align(128))]
-pub(crate) struct CachePadded<T>(pub(crate) T);
+struct CachePadded<T>(T);
 
 /// Producer-owned index line: the real tail plus a stale copy of head.
 struct ProducerSide {
@@ -113,7 +109,7 @@ impl<'a> RoleGuard<'a> {
         assert!(
             !flag.swap(true, Ordering::Acquire),
             "concurrent {role}s detected: SpscQueue allows only one {role} at a time \
-             (use QueueKind::Mutex for multi-{role} wiring)"
+             (wire one ring per {role} replica instead of sharing one)"
         );
         RoleGuard(flag)
     }
@@ -139,17 +135,7 @@ impl<T> SpscQueue<T> {
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> SpscQueue<T> {
-        SpscQueue::with_park(capacity, DEFAULT_PARK)
-    }
-
-    /// Ring with an explicit park interval for blocking-push waits — the
-    /// engine passes its `poll_backoff` here so producer wake latency
-    /// under back-pressure is tunable alongside consumer idle latency.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_park(capacity: usize, park: Duration) -> SpscQueue<T> {
-        SpscQueue::with_profile(capacity, BackoffProfile::dedicated(park))
+        SpscQueue::with_profile(capacity, BackoffProfile::dedicated(DEFAULT_PARK))
     }
 
     /// Ring with an explicit wait-ladder shape ([`BackoffProfile`]) for
@@ -228,13 +214,6 @@ impl<T> SpscQueue<T> {
         Ok(())
     }
 
-    /// Blocking push: walks the spin → yield → park ladder while the ring
-    /// is full (back-pressure). Returns `Err(item)` if the queue is closed.
-    /// Producer-side only.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        self.push_tracked(item).map(|_| ())
-    }
-
     /// Blocking push that additionally reports whether it found the ring
     /// full and had to wait (`Ok(true)`) — the engine's queue-pressure
     /// signal, measured inside the push path so the uncontended fast path
@@ -253,75 +232,6 @@ impl<T> SpscQueue<T> {
                 Err(PushError::Closed(i)) => return Err(i),
                 Err(PushError::Full(i)) => item = i,
             }
-        }
-    }
-
-    /// Push with a deadline. `Err(item)` on close *or* timeout. The
-    /// deadline is computed **before** any waiting, so time spent blocked
-    /// on a full ring counts against the caller's budget (mirrors the
-    /// fixed [`crate::queue::BoundedQueue::push_timeout`] semantics).
-    /// Producer-side only.
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), T> {
-        let deadline = Instant::now() + timeout;
-        let mut item = item;
-        let mut backoff = Backoff::with_profile(self.profile);
-        loop {
-            match self.try_push(item) {
-                Ok(()) => return Ok(()),
-                Err(PushError::Closed(i)) => return Err(i),
-                Err(PushError::Full(i)) => {
-                    if Instant::now() >= deadline {
-                        return Err(i);
-                    }
-                    item = i;
-                    backoff.snooze();
-                }
-            }
-        }
-    }
-
-    /// Blocking batch push: enqueues every item, publishing the tail **once
-    /// per free run** rather than once per item, so a whole jumbo group
-    /// costs a single release store. `Err(remaining)` if the queue closes
-    /// mid-batch. Producer-side only.
-    pub fn push_n(&self, items: Vec<T>) -> Result<(), Vec<T>> {
-        #[cfg(debug_assertions)]
-        let _role = RoleGuard::enter(&self.push_active, "producer");
-        let mut iter = items.into_iter();
-        if iter.len() == 0 {
-            return Ok(());
-        }
-        let mut backoff = Backoff::with_profile(self.profile);
-        loop {
-            if self.closed.load(Ordering::Acquire) {
-                return Err(iter.collect());
-            }
-            let tail = self.producer.0.tail.load(Ordering::Relaxed);
-            let free = self.free_slots(tail);
-            if free == 0 {
-                backoff.snooze();
-                continue;
-            }
-            let mut wrote = 0usize;
-            while wrote < free {
-                match iter.next() {
-                    // SAFETY: slots [tail, tail+free) are unowned by the
-                    // consumer until the single Release store below.
-                    Some(x) => unsafe {
-                        (*self.slots[tail.wrapping_add(wrote) & self.mask].get()).write(x);
-                        wrote += 1;
-                    },
-                    None => break,
-                }
-            }
-            self.producer
-                .0
-                .tail
-                .store(tail.wrapping_add(wrote), Ordering::Release);
-            if iter.len() == 0 {
-                return Ok(());
-            }
-            backoff.reset();
         }
     }
 
@@ -427,9 +337,9 @@ impl<T> Drop for SpscQueue<T> {
     }
 }
 
-/// Default park interval for waits internal to the queue (blocking push).
-/// Matches the engine's default `poll_backoff` so close-latency stays in
-/// the same ballpark as the old condvar wake.
+/// Default park interval for blocking-push waits. Matches the engine's
+/// default `poll_backoff`, so a blocked producer observes `close` within
+/// about 100 µs.
 const DEFAULT_PARK: Duration = Duration::from_micros(100);
 
 /// Spin rungs of the dedicated-core ladder: 1, 2, 4, 8 `spin_loop` hints.
@@ -443,8 +353,8 @@ const YIELD_STEPS: u32 = 8;
 ///
 /// On a machine with a core per replica, spinning briefly is the
 /// lowest-latency way to ride out a momentary stall. When the engine runs
-/// **oversubscribed** — more replica threads than hardware cores (the
-/// documented 1-vCPU fabric inversion in the ROADMAP) — every spin burns a
+/// **oversubscribed** — more replica threads than hardware cores — every
+/// spin burns a
 /// timeslice the *counterpart* thread needs to make progress, so the
 /// oversubscribed profile skips straight past the spin rungs and parks
 /// after a single yield: parked waits donate the CPU instead of fighting
@@ -497,8 +407,7 @@ impl BackoffProfile {
 
 /// Adaptive spin → yield → park wait ladder.
 ///
-/// Shared by the queue fabrics' blocking pushes and the engine's idle
-/// executors: short waits burn a few pipeline hints (latency ≈ ns), medium
+/// Shared by the ring's blocking push and the engine's idle executors: short waits burn a few pipeline hints (latency ≈ ns), medium
 /// waits donate the timeslice (`yield_now`), and sustained waits park the
 /// thread for a bounded interval so an idle system costs ~0 CPU while still
 /// observing `close`/new-work promptly. Call [`Backoff::reset`] after
@@ -550,12 +459,13 @@ impl Backoff {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Instant;
 
     #[test]
     fn fifo_order() {
         let q = SpscQueue::new(8);
         for i in 0..5 {
-            q.push(i).expect("open");
+            q.try_push(i).expect("room");
         }
         for i in 0..5 {
             assert_eq!(q.try_pop(), Some(i));
@@ -577,18 +487,20 @@ mod tests {
     }
 
     #[test]
-    fn push_blocks_until_pop() {
+    fn push_tracked_blocks_until_pop_and_reports_the_stall() {
         let q = Arc::new(SpscQueue::new(1));
-        q.push(0u32).expect("open");
+        // Uncontended push: no stall.
+        assert!(!q.push_tracked(0u32).expect("open"));
         let q2 = Arc::clone(&q);
         let handle = std::thread::spawn(move || {
             let t0 = Instant::now();
-            q2.push(1).expect("open");
-            t0.elapsed()
+            let stalled = q2.push_tracked(1).expect("open");
+            (stalled, t0.elapsed())
         });
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(q.try_pop(), Some(0));
-        let blocked_for = handle.join().expect("no panic");
+        let (stalled, blocked_for) = handle.join().expect("no panic");
+        assert!(stalled, "a full-ring push must report a stall");
         assert!(
             blocked_for >= Duration::from_millis(30),
             "producer should have blocked, waited only {blocked_for:?}"
@@ -597,32 +509,26 @@ mod tests {
     }
 
     #[test]
-    fn push_timeout_expires() {
-        let q = SpscQueue::new(1);
-        q.push(1u8).expect("open");
-        let t0 = Instant::now();
-        assert!(q.push_timeout(2, Duration::from_millis(20)).is_err());
-        assert!(t0.elapsed() >= Duration::from_millis(19));
-    }
-
-    #[test]
     fn close_wakes_blocked_producer_and_preserves_drain() {
         let q = Arc::new(SpscQueue::new(1));
-        q.push(0u8).expect("open");
+        q.try_push(0u8).expect("room");
         let q2 = Arc::clone(&q);
-        let handle = std::thread::spawn(move || q2.push(1));
+        let handle = std::thread::spawn(move || q2.push_tracked(1));
         std::thread::sleep(Duration::from_millis(30));
         q.close();
+        assert!(q.is_closed());
         assert!(handle.join().expect("no panic").is_err());
         // Existing items still drain.
         assert_eq!(q.try_pop(), Some(0));
-        assert!(q.push(2).is_err());
+        assert!(matches!(q.try_push(2), Err(PushError::Closed(2))));
     }
 
     #[test]
-    fn batch_ops_roundtrip() {
+    fn pop_n_roundtrip() {
         let q = SpscQueue::new(16);
-        q.push_n((0..10).collect()).expect("open");
+        for i in 0..10 {
+            q.try_push(i).expect("room");
+        }
         assert_eq!(q.len(), 10);
         let mut out = Vec::new();
         assert_eq!(q.pop_n(&mut out, 4), 4);
@@ -633,28 +539,11 @@ mod tests {
     }
 
     #[test]
-    fn push_n_larger_than_capacity_blocks_through() {
-        // Batch bigger than the ring: producer publishes in free runs while
-        // a consumer drains concurrently.
-        let q = Arc::new(SpscQueue::new(4));
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.push_n((0..64u32).collect()));
-        let mut got = Vec::new();
-        while got.len() < 64 {
-            if q.pop_n(&mut got, 8) == 0 {
-                std::thread::yield_now();
-            }
-        }
-        assert!(producer.join().expect("no panic").is_ok());
-        assert_eq!(got, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn drop_releases_in_flight_items() {
         let q = SpscQueue::new(8);
         let marker = Arc::new(());
         for _ in 0..5 {
-            q.push(Arc::clone(&marker)).expect("open");
+            q.try_push(Arc::clone(&marker)).expect("room");
         }
         q.try_pop();
         drop(q);
@@ -665,10 +554,31 @@ mod tests {
     fn wraparound_many_times() {
         let q = SpscQueue::new(4);
         for round in 0..1000u64 {
-            q.push(round).expect("open");
+            q.try_push(round).expect("room");
             assert_eq!(q.try_pop(), Some(round));
         }
         assert!(q.is_empty());
+    }
+
+    // The role tripwire is what makes "one producer per ring" checkable:
+    // entering a role while another guard on the same flag is live must
+    // panic, or the engine's debug-build runs prove nothing.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "concurrent producer")]
+    fn tripwire_catches_a_second_live_producer() {
+        let q = SpscQueue::<u8>::new(1);
+        let _first = RoleGuard::enter(&q.push_active, "producer");
+        let _second = RoleGuard::enter(&q.push_active, "producer");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "concurrent consumer")]
+    fn tripwire_catches_a_second_live_consumer() {
+        let q = SpscQueue::<u8>::new(1);
+        let _first = RoleGuard::enter(&q.pop_active, "consumer");
+        let _second = RoleGuard::enter(&q.pop_active, "consumer");
     }
 
     #[test]

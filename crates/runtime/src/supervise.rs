@@ -34,7 +34,7 @@
 //! watchdog only ever observes and reports; it never kills a replica.
 
 use crate::engine::EngineShared;
-use crate::queue::ReplicaQueue;
+use crate::spsc::SpscQueue;
 use crate::tuple::JumboTuple;
 use brisk_dag::OperatorId;
 use std::any::Any;
@@ -230,10 +230,10 @@ pub(crate) struct WatchEntry {
     pub(crate) op_index: usize,
     pub(crate) replica: usize,
     /// The replica's input queues: a stall requires pending input.
-    pub(crate) inputs: Vec<Arc<ReplicaQueue<JumboTuple>>>,
+    pub(crate) inputs: Vec<Arc<SpscQueue<JumboTuple>>>,
     /// The replica's output queues (including its fused subtree's): a full
     /// output queue means back-pressure, which is never flagged.
-    pub(crate) outputs: Vec<Arc<ReplicaQueue<JumboTuple>>>,
+    pub(crate) outputs: Vec<Arc<SpscQueue<JumboTuple>>>,
 }
 
 /// Spawn the supervisor thread sampling per-replica progress counters.

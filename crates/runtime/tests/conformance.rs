@@ -1,12 +1,11 @@
 //! Engine conformance suite: exactly-once tuple accounting for all four
-//! benchmark applications across the full scheduler × fabric × fusion
-//! matrix {ThreadPerReplica, CorePool} × {Spsc, Mutex, Mpsc} × {fusion
-//! on, fusion off}.
+//! benchmark applications across the full scheduler × fusion matrix
+//! {ThreadPerReplica, CorePool} × {fusion on, fusion off}.
 //!
 //! Every cell runs a deterministic sized workload to exhaustion and checks
-//! the conservation laws the engine must never violate, whatever the queue
-//! fabric or execution shape (queued replicas, MPSC funnels, fused chains,
-//! pairwise-fused replica pairs, work-stealing pool workers):
+//! the conservation laws the engine must never violate, whatever the
+//! execution shape (queued replicas, funnels, fused chains, pairwise-fused
+//! replica pairs, work-stealing pool workers):
 //!
 //! * the spouts emit exactly the configured input budget (the sized
 //!   generators split it across replicas without loss or duplication);
@@ -21,20 +20,19 @@
 //! * for the linear apps (WC/FD/SD — every operator emits a
 //!   content-deterministic number of tuples per input), the full
 //!   per-operator `processed`/`emitted` vectors are **identical across
-//!   all twelve matrix cells**: the scheduler, the fabric and the
-//!   execution shape may change where and when tuples flow, never how
+//!   all four matrix cells**: the scheduler and the execution shape may
+//!   change where and when tuples flow, never how
 //!   many. (LR's accident detector emits based on cross-replica arrival
 //!   interleaving, so LR asserts the conservation laws per cell instead.)
 
 use brisk_apps::app_sized;
 use brisk_dag::{CostProfile, OperatorKind, Partitioning, TopologyBuilder, DEFAULT_STREAM};
 use brisk_runtime::{
-    AppRuntime, Collector, DynBolt, DynSpout, Engine, EngineConfig, QueueKind, RunReport,
-    Scheduler, SpoutStatus, TupleView,
+    AppRuntime, Collector, DynBolt, DynSpout, Engine, EngineConfig, RunReport, Scheduler,
+    SpoutStatus, TupleView,
 };
 use std::time::Duration;
 
-const KINDS: [QueueKind; 3] = [QueueKind::Spsc, QueueKind::Mutex, QueueKind::Mpsc];
 const SCHEDULERS: [Scheduler; 2] = [
     Scheduler::ThreadPerReplica,
     Scheduler::CorePool { workers: 2 },
@@ -42,7 +40,6 @@ const SCHEDULERS: [Scheduler; 2] = [
 
 struct Cell {
     scheduler: Scheduler,
-    kind: QueueKind,
     fusion: bool,
     report: RunReport,
 }
@@ -50,24 +47,20 @@ struct Cell {
 fn run_matrix(abbrev: &str, replication: Vec<usize>, budget: u64) -> Vec<Cell> {
     let mut cells = Vec::new();
     for scheduler in SCHEDULERS {
-        for kind in KINDS {
-            for fusion in [true, false] {
-                let app = app_sized(abbrev, budget).expect("known app");
-                let config = EngineConfig::builder()
-                    .scheduler(scheduler)
-                    .queue_kind(kind)
-                    .fusion(fusion)
-                    .build();
-                let engine =
-                    Engine::new(app, replication.clone(), config).expect("valid engine config");
-                let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
-                cells.push(Cell {
-                    scheduler,
-                    kind,
-                    fusion,
-                    report,
-                });
-            }
+        for fusion in [true, false] {
+            let app = app_sized(abbrev, budget).expect("known app");
+            let config = EngineConfig::builder()
+                .scheduler(scheduler)
+                .fusion(fusion)
+                .build();
+            let engine =
+                Engine::new(app, replication.clone(), config).expect("valid engine config");
+            let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
+            cells.push(Cell {
+                scheduler,
+                fusion,
+                report,
+            });
         }
     }
     cells
@@ -80,10 +73,7 @@ fn check_conservation(abbrev: &str, replication: &[usize], budget: u64, cell: &C
         .find(|(a, _)| *a == abbrev)
         .map(|(_, t)| t)
         .expect("known app");
-    let ctx = format!(
-        "{abbrev} {} {} fusion={}",
-        cell.scheduler, cell.kind, cell.fusion
-    );
+    let ctx = format!("{abbrev} {} fusion={}", cell.scheduler, cell.fusion);
     let r = &cell.report;
 
     // Spouts emit exactly the input budget.
@@ -143,7 +133,7 @@ fn check_conservation(abbrev: &str, replication: &[usize], budget: u64, cell: &C
     );
 }
 
-/// Assert all twelve cells produced identical per-operator counter vectors
+/// Assert all four cells produced identical per-operator counter vectors
 /// (content-deterministic apps only).
 fn check_cross_config_determinism(abbrev: &str, cells: &[Cell]) {
     let counts = |r: &RunReport| -> (Vec<u64>, Vec<u64>) {
@@ -158,26 +148,14 @@ fn check_cross_config_determinism(abbrev: &str, cells: &[Cell]) {
     for cell in &cells[1..] {
         let (processed, emitted) = counts(&cell.report);
         assert_eq!(
-            processed,
-            ref_processed,
-            "{abbrev}: processed differs between {} {} fusion={} and {} {} fusion={}",
-            cell.scheduler,
-            cell.kind,
-            cell.fusion,
-            reference.scheduler,
-            reference.kind,
-            reference.fusion
+            processed, ref_processed,
+            "{abbrev}: processed differs between {} fusion={} and {} fusion={}",
+            cell.scheduler, cell.fusion, reference.scheduler, reference.fusion
         );
         assert_eq!(
-            emitted,
-            ref_emitted,
-            "{abbrev}: emitted differs between {} {} fusion={} and {} {} fusion={}",
-            cell.scheduler,
-            cell.kind,
-            cell.fusion,
-            reference.scheduler,
-            reference.kind,
-            reference.fusion
+            emitted, ref_emitted,
+            "{abbrev}: emitted differs between {} fusion={} and {} fusion={}",
+            cell.scheduler, cell.fusion, reference.scheduler, reference.fusion
         );
         assert_eq!(
             cell.report.sink_events, reference.report.sink_events,
@@ -239,8 +217,8 @@ impl DynBolt for NullSink {
 
 /// Broadcast fan-out across the full matrix: each sealed slab is shared
 /// by all three sink replicas, and the per-copy accounting must be the
-/// same whether that slab travelled an SPSC ring, the mutex queue, the
-/// MPSC funnel or a fused edge — emitted once per logical tuple,
+/// same whether that slab travelled an SPSC ring or a fused edge —
+/// emitted once per logical tuple,
 /// processed once per delivered copy, with slab seals bounded by the
 /// *logical* tuple count (a payload-copying fabric would need one slab
 /// per copy, 3× more).
@@ -249,37 +227,34 @@ fn broadcast_shared_batches_conform_across_the_matrix() {
     let budget = 600u64;
     let mut reports = Vec::new();
     for scheduler in SCHEDULERS {
-        for kind in KINDS {
-            for fusion in [true, false] {
-                let mut b = TopologyBuilder::new("bc");
-                let s = b.add_spout("src", CostProfile::trivial());
-                let k = b.add_sink("out", CostProfile::trivial());
-                b.connect(s, DEFAULT_STREAM, k, Partitioning::Broadcast);
-                let t = b.build().expect("valid topology");
-                let (s, k) = (t.find("src").expect("src"), t.find("out").expect("out"));
-                let app = AppRuntime::new(t)
-                    .spout(s, move |_| SeqSpout {
-                        next: 0,
-                        limit: budget,
-                    })
-                    .sink(k, |_| NullSink);
-                let config = EngineConfig::builder()
-                    .scheduler(scheduler)
-                    .queue_kind(kind)
-                    .fusion(fusion)
-                    .build();
-                let engine = Engine::new(app, vec![1, 3], config).expect("valid engine config");
-                let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
-                let ctx = format!("bc {scheduler} {kind} fusion={fusion}");
-                assert_eq!(report.operator(0).emitted, budget, "{ctx}");
-                assert_eq!(report.operator(1).processed, budget * 3, "{ctx}");
-                assert_eq!(report.sink_events, budget * 3, "{ctx}");
-                assert!(
-                    report.slab_allocs + report.slab_recycled <= budget,
-                    "{ctx}: slab seals must not scale with broadcast copies"
-                );
-                reports.push((ctx, report));
-            }
+        for fusion in [true, false] {
+            let mut b = TopologyBuilder::new("bc");
+            let s = b.add_spout("src", CostProfile::trivial());
+            let k = b.add_sink("out", CostProfile::trivial());
+            b.connect(s, DEFAULT_STREAM, k, Partitioning::Broadcast);
+            let t = b.build().expect("valid topology");
+            let (s, k) = (t.find("src").expect("src"), t.find("out").expect("out"));
+            let app = AppRuntime::new(t)
+                .spout(s, move |_| SeqSpout {
+                    next: 0,
+                    limit: budget,
+                })
+                .sink(k, |_| NullSink);
+            let config = EngineConfig::builder()
+                .scheduler(scheduler)
+                .fusion(fusion)
+                .build();
+            let engine = Engine::new(app, vec![1, 3], config).expect("valid engine config");
+            let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
+            let ctx = format!("bc {scheduler} fusion={fusion}");
+            assert_eq!(report.operator(0).emitted, budget, "{ctx}");
+            assert_eq!(report.operator(1).processed, budget * 3, "{ctx}");
+            assert_eq!(report.sink_events, budget * 3, "{ctx}");
+            assert!(
+                report.slab_allocs + report.slab_recycled <= budget,
+                "{ctx}: slab seals must not scale with broadcast copies"
+            );
+            reports.push((ctx, report));
         }
     }
     let reference: Vec<u64> = reports[0]
@@ -300,7 +275,7 @@ fn broadcast_shared_batches_conform_across_the_matrix() {
 /// the sink volume equals the oracle pair count, and the join replicas'
 /// harvested digests (count ‖ xor ‖ sum of canonical pair hashes) merge
 /// to exactly the oracle digest — exactly-once match accounting under
-/// every scheduler, fabric and fusion shape.
+/// every scheduler and fusion shape.
 #[test]
 fn stream_join_conforms_and_matches_the_oracle_across_the_matrix() {
     use brisk_apps::stream_join::{self, JoinDigest};
@@ -321,47 +296,43 @@ fn stream_join_conforms_and_matches_the_oracle_across_the_matrix() {
 
     let mut cells = Vec::new();
     for scheduler in SCHEDULERS {
-        for kind in KINDS {
-            for fusion in [true, false] {
-                let ctx = format!("SJ {scheduler} {kind} fusion={fusion}");
-                let app = app_sized("SJ", budget).expect("known app");
-                let config = EngineConfig::builder()
-                    .scheduler(scheduler)
-                    .queue_kind(kind)
-                    .fusion(fusion)
-                    .build();
-                let mut engine =
-                    Engine::new(app, replication.clone(), config).expect("valid engine config");
-                engine.capture_state_on_stop(true);
-                let (report, state) = engine
-                    .start(RunLimit::Events {
-                        events: u64::MAX,
-                        timeout: Duration::from_secs(120),
-                    })
-                    .join_with_state();
+        for fusion in [true, false] {
+            let ctx = format!("SJ {scheduler} fusion={fusion}");
+            let app = app_sized("SJ", budget).expect("known app");
+            let config = EngineConfig::builder()
+                .scheduler(scheduler)
+                .fusion(fusion)
+                .build();
+            let mut engine =
+                Engine::new(app, replication.clone(), config).expect("valid engine config");
+            engine.capture_state_on_stop(true);
+            let (report, state) = engine
+                .start(RunLimit::Events {
+                    events: u64::MAX,
+                    timeout: Duration::from_secs(120),
+                })
+                .join_with_state();
 
-                // Every matched pair reached the sink exactly once.
-                assert_eq!(
-                    report.sink_events, expected.count,
-                    "{ctx}: sink volume != oracle match count"
-                );
-                // The replicas' merged digests reproduce the oracle's
-                // match multiset bit-exactly.
-                let mut digest = JoinDigest::default();
-                for (op, _replica, entries) in &state {
-                    if *op == join_op {
-                        digest.merge(&JoinDigest::from_entries(entries));
-                    }
+            // Every matched pair reached the sink exactly once.
+            assert_eq!(
+                report.sink_events, expected.count,
+                "{ctx}: sink volume != oracle match count"
+            );
+            // The replicas' merged digests reproduce the oracle's
+            // match multiset bit-exactly.
+            let mut digest = JoinDigest::default();
+            for (op, _replica, entries) in &state {
+                if *op == join_op {
+                    digest.merge(&JoinDigest::from_entries(entries));
                 }
-                assert_eq!(digest, expected, "{ctx}: match multiset diverged");
-
-                cells.push(Cell {
-                    scheduler,
-                    kind,
-                    fusion,
-                    report,
-                });
             }
+            assert_eq!(digest, expected, "{ctx}: match multiset diverged");
+
+            cells.push(Cell {
+                scheduler,
+                fusion,
+                report,
+            });
         }
     }
     for cell in &cells {
@@ -392,25 +363,22 @@ fn shared_index_conforms_across_the_matrix() {
 fn shared_arrangement_slab_seals_do_not_double_with_two_queries() {
     let budget = 400u64;
     let (u, q) = brisk_apps::shared_index::side_totals(budget);
-    for kind in KINDS {
-        let app = app_sized("SI", budget).expect("known app");
-        let config = EngineConfig::builder()
-            .scheduler(Scheduler::ThreadPerReplica)
-            .queue_kind(kind)
-            .fusion(false)
-            .jumbo_size(1)
-            .build();
-        let engine = Engine::new(app, vec![1; 6], config).expect("valid engine config");
-        let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
-        let ctx = format!("SI zero-copy {kind}");
-        assert_eq!(report.sink_events, u + q, "{ctx}: sink accounting");
-        let seals = report.slab_allocs + report.slab_recycled;
-        assert_eq!(
-            seals,
-            3 * u + 2 * q,
-            "{ctx}: attaching the second query must not add a maintainer's worth of seals"
-        );
-    }
+    let app = app_sized("SI", budget).expect("known app");
+    let config = EngineConfig::builder()
+        .scheduler(Scheduler::ThreadPerReplica)
+        .fusion(false)
+        .jumbo_size(1)
+        .build();
+    let engine = Engine::new(app, vec![1; 6], config).expect("valid engine config");
+    let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
+    let ctx = "SI zero-copy";
+    assert_eq!(report.sink_events, u + q, "{ctx}: sink accounting");
+    let seals = report.slab_allocs + report.slab_recycled;
+    assert_eq!(
+        seals,
+        3 * u + 2 * q,
+        "{ctx}: attaching the second query must not add a maintainer's worth of seals"
+    );
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Fault-injection conformance: supervision must be *execution-shape
 //! invariant*. Under the same deterministic injected fault, every cell of
-//! the {ThreadPerReplica, CorePool} × {Spsc, Mutex, Mpsc} × {fusion on,
-//! fusion off} matrix must produce identical per-operator counter vectors
+//! the {ThreadPerReplica, CorePool} × {fusion on, fusion off} matrix must
+//! produce identical per-operator counter vectors
 //! — processed, emitted, quarantined, restarts and sink totals — and obey
 //! exactly-once-minus-quarantined conservation on every attributable edge.
 //!
 //! Word Count pins cross-config equality (all its operators have
 //! content-deterministic 1:1-or-derivable arity, so the aggregate effect
-//! of quarantining the Nth tuple of a replica is the same whatever fabric
-//! or schedule delivered it). Linear Road — multi-stream dispatcher,
+//! of quarantining the Nth tuple of a replica is the same whatever
+//! schedule or fusion shape delivered it). Linear Road — multi-stream dispatcher,
 //! interleaving-dependent accident path — instead pins the conservation
 //! laws, fault attribution and clean termination per cell.
 //!
@@ -21,11 +21,10 @@ use brisk_apps::app_sized;
 use brisk_dag::{CostProfile, Partitioning, TopologyBuilder, DEFAULT_STREAM};
 use brisk_runtime::{
     silence_injected_panics, AppRuntime, Collector, DynBolt, DynSpout, Engine, EngineConfig,
-    FaultPlan, QueueKind, RestartPolicy, RunReport, Scheduler, SpoutStatus, TupleView,
+    FaultPlan, RestartPolicy, RunReport, Scheduler, SpoutStatus, TupleView,
 };
 use std::time::Duration;
 
-const KINDS: [QueueKind; 3] = [QueueKind::Spsc, QueueKind::Mutex, QueueKind::Mpsc];
 const SCHEDULERS: [Scheduler; 2] = [
     Scheduler::ThreadPerReplica,
     Scheduler::CorePool { workers: 2 },
@@ -40,14 +39,13 @@ fn wc_replication() -> Vec<usize> {
 
 struct Cell {
     scheduler: Scheduler,
-    kind: QueueKind,
     fusion: bool,
     report: RunReport,
 }
 
 impl Cell {
     fn label(&self) -> String {
-        format!("{} {} fusion={}", self.scheduler, self.kind, self.fusion)
+        format!("{} fusion={}", self.scheduler, self.fusion)
     }
 }
 
@@ -56,28 +54,23 @@ fn run_wc_matrix(plan_for_cell: impl Fn() -> FaultPlan, budget: u64) -> Vec<Cell
     silence_injected_panics();
     let mut cells = Vec::new();
     for scheduler in SCHEDULERS {
-        for kind in KINDS {
-            for fusion in [true, false] {
-                let app = plan_for_cell().instrument(app_sized("WC", budget).expect("known app"));
-                let config = EngineConfig::builder()
-                    .scheduler(scheduler)
-                    .queue_kind(kind)
-                    .fusion(fusion)
-                    .restart(RestartPolicy::Bounded {
-                        max_restarts: 3,
-                        backoff: Duration::from_millis(5),
-                    })
-                    .build();
-                let engine =
-                    Engine::new(app, wc_replication(), config).expect("valid engine config");
-                let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
-                cells.push(Cell {
-                    scheduler,
-                    kind,
-                    fusion,
-                    report,
-                });
-            }
+        for fusion in [true, false] {
+            let app = plan_for_cell().instrument(app_sized("WC", budget).expect("known app"));
+            let config = EngineConfig::builder()
+                .scheduler(scheduler)
+                .fusion(fusion)
+                .restart(RestartPolicy::Bounded {
+                    max_restarts: 3,
+                    backoff: Duration::from_millis(5),
+                })
+                .build();
+            let engine = Engine::new(app, wc_replication(), config).expect("valid engine config");
+            let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
+            cells.push(Cell {
+                scheduler,
+                fusion,
+                report,
+            });
         }
     }
     cells
@@ -153,8 +146,8 @@ fn wc_spout_panic_matches_the_fault_free_baseline() {
 #[test]
 fn wc_mid_bolt_panic_is_identical_across_the_matrix() {
     // Counter (op 3) replica 0 loses its 30th tuple in every cell. The
-    // counter is a real (unfused) replica in all twelve cells, so this
-    // exercises both schedulers' restart paths over every fabric.
+    // counter is a real (unfused) replica in all four cells, so this
+    // exercises both schedulers' restart paths with and without fusion.
     let cells = run_wc_matrix(|| FaultPlan::new().panic_on_nth(3, 0, 30), 600);
     check_identical(&cells, "mid-bolt-panic");
     for cell in &cells {
@@ -232,7 +225,7 @@ fn broadcast_app(budget: u64) -> AppRuntime {
 /// Quarantining a tuple out of a batch whose slab is *shared* across
 /// broadcast replicas must stay exact: one copy lost on the faulted
 /// replica, every other replica's copies intact, and the counter vectors
-/// identical across the whole scheduler × fabric × fusion matrix. This is
+/// identical across the whole scheduler × fusion matrix. This is
 /// the shared-batch half of poison-tuple conservation — the quarantine
 /// path keeps the un-poisoned remainder as a slice of the shared slab, so
 /// any cross-replica interference (or a slab clone that forked the
@@ -246,30 +239,26 @@ fn broadcast_quarantine_conserves_shared_batches() {
     let replicas = 3u64;
     let mut cells = Vec::new();
     for scheduler in SCHEDULERS {
-        for kind in KINDS {
-            for fusion in [true, false] {
-                // Sink replica 0 panics on its 30th delivered copy; the
-                // slab under that copy is shared with replicas 1 and 2.
-                let plan = FaultPlan::new().panic_on_nth(1, 0, 30);
-                let app = plan.instrument(broadcast_app(budget));
-                let config = EngineConfig::builder()
-                    .scheduler(scheduler)
-                    .queue_kind(kind)
-                    .fusion(fusion)
-                    .restart(RestartPolicy::Bounded {
-                        max_restarts: 3,
-                        backoff: Duration::from_millis(5),
-                    })
-                    .build();
-                let engine = Engine::new(app, vec![1, 3], config).expect("valid engine config");
-                let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
-                cells.push(Cell {
-                    scheduler,
-                    kind,
-                    fusion,
-                    report,
-                });
-            }
+        for fusion in [true, false] {
+            // Sink replica 0 panics on its 30th delivered copy; the
+            // slab under that copy is shared with replicas 1 and 2.
+            let plan = FaultPlan::new().panic_on_nth(1, 0, 30);
+            let app = plan.instrument(broadcast_app(budget));
+            let config = EngineConfig::builder()
+                .scheduler(scheduler)
+                .fusion(fusion)
+                .restart(RestartPolicy::Bounded {
+                    max_restarts: 3,
+                    backoff: Duration::from_millis(5),
+                })
+                .build();
+            let engine = Engine::new(app, vec![1, 3], config).expect("valid engine config");
+            let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
+            cells.push(Cell {
+                scheduler,
+                fusion,
+                report,
+            });
         }
     }
     check_identical(&cells, "broadcast-quarantine");

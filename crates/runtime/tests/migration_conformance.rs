@@ -1,7 +1,6 @@
 //! Migration conformance suite: exactly-once tuple accounting across a
-//! live, mid-run plan migration, over the full scheduler × fabric ×
-//! fusion matrix {ThreadPerReplica, CorePool} × {Spsc, Mutex, Mpsc} ×
-//! {fusion on, fusion off}.
+//! live, mid-run plan migration, over the full scheduler × fusion matrix
+//! {ThreadPerReplica, CorePool} × {fusion on, fusion off}.
 //!
 //! Every cell splits a deterministic sized workload across two engine
 //! epochs joined by a migration pause: epoch one runs to a mid-budget
@@ -9,7 +8,7 @@
 //! controller's pause), its harvested state is redistributed onto a
 //! successor engine (`preload_state`), and epoch two runs the rest to
 //! exhaustion. The laws that must survive the hand-off, whatever the
-//! queue fabric or execution shape:
+//! execution shape:
 //!
 //! * the two epochs' spouts emit exactly the configured input budget
 //!   between them — the harvested source positions resume, never rewind
@@ -19,9 +18,9 @@
 //!   expectation (WC: words per sentence × budget; FD: one prediction
 //!   per transaction);
 //! * for the deterministic linear apps the summed per-operator
-//!   `processed`/`emitted` vectors are **identical across all twelve
-//!   matrix cells** — the migration point, scheduler, fabric and fusion
-//!   shape may move tuples between epochs, never create or destroy them;
+//!   `processed`/`emitted` vectors are **identical across all four
+//!   matrix cells** — the migration point, scheduler and fusion shape may
+//!   move tuples between epochs, never create or destroy them;
 //! * a migration that *changes replica counts* conserves the same totals
 //!   (rescaling redistributes budget shares and keyed state, uncovered
 //!   new replicas get an empty install and claim no fresh budget);
@@ -36,12 +35,11 @@
 use brisk_apps::{app_sized, word_count};
 use brisk_dag::OperatorKind;
 use brisk_runtime::{
-    Engine, EngineConfig, HarvestedState, QueueKind, RunLimit, RunReport, Scheduler, StateEntry,
+    Engine, EngineConfig, HarvestedState, RunLimit, RunReport, Scheduler, StateEntry,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
-const KINDS: [QueueKind; 3] = [QueueKind::Spsc, QueueKind::Mutex, QueueKind::Mpsc];
 const SCHEDULERS: [Scheduler; 2] = [
     Scheduler::ThreadPerReplica,
     Scheduler::CorePool { workers: 2 },
@@ -52,10 +50,9 @@ const LONG: Duration = Duration::from_secs(120);
 /// stop lands while the source is still mid-budget (the default
 /// 4096-tuple-deep queues would swallow these budgets whole and the
 /// "migration" would degenerate into a restart of a drained pipeline).
-fn cell_config(scheduler: Scheduler, kind: QueueKind, fusion: bool) -> EngineConfig {
+fn cell_config(scheduler: Scheduler, fusion: bool) -> EngineConfig {
     EngineConfig::builder()
         .scheduler(scheduler)
-        .queue_kind(kind)
         .fusion(fusion)
         .queue_capacity(2)
         .jumbo_size(8)
@@ -150,49 +147,47 @@ fn spout_emitted(abbrev: &str, r1: &RunReport, r2: &RunReport) -> (u64, u64) {
     (emitted(r1), emitted(r2))
 }
 
-/// The twelve-cell matrix for one app: conservation per cell, plus
+/// The four-cell matrix for one app: conservation per cell, plus
 /// cross-cell equality of the summed per-operator counters.
 fn matrix(abbrev: &str, replication: &[usize], budget: u64, expected_sink: u64) {
     let epoch1_target = expected_sink / 3;
     let mut summed: Vec<(String, Vec<u64>, Vec<u64>, u64)> = Vec::new();
     for scheduler in SCHEDULERS {
-        for kind in KINDS {
-            for fusion in [true, false] {
-                let ctx = format!("{abbrev} {scheduler} {kind} fusion={fusion}");
-                let config = cell_config(scheduler, kind, fusion);
-                let (r1, r2, _) = migrate_once(
-                    abbrev,
-                    replication,
-                    replication,
-                    budget,
-                    epoch1_target,
-                    &config,
-                    false,
-                );
-                let (in1, in2) = spout_emitted(abbrev, &r1, &r2);
-                assert!(
-                    in1 > 0 && in1 < budget,
-                    "{ctx}: the pause must land mid-budget (epoch one emitted {in1}/{budget})"
-                );
-                assert_eq!(
-                    in1 + in2,
-                    budget,
-                    "{ctx}: migration lost or duplicated source tuples"
-                );
-                assert_eq!(
-                    r1.sink_events + r2.sink_events,
-                    expected_sink,
-                    "{ctx}: migration lost or duplicated sink tuples"
-                );
-                let n = r1.per_operator().len();
-                let processed: Vec<u64> = (0..n)
-                    .map(|op| r1.operator(op).processed + r2.operator(op).processed)
-                    .collect();
-                let emitted: Vec<u64> = (0..n)
-                    .map(|op| r1.operator(op).emitted + r2.operator(op).emitted)
-                    .collect();
-                summed.push((ctx, processed, emitted, r1.sink_events + r2.sink_events));
-            }
+        for fusion in [true, false] {
+            let ctx = format!("{abbrev} {scheduler} fusion={fusion}");
+            let config = cell_config(scheduler, fusion);
+            let (r1, r2, _) = migrate_once(
+                abbrev,
+                replication,
+                replication,
+                budget,
+                epoch1_target,
+                &config,
+                false,
+            );
+            let (in1, in2) = spout_emitted(abbrev, &r1, &r2);
+            assert!(
+                in1 > 0 && in1 < budget,
+                "{ctx}: the pause must land mid-budget (epoch one emitted {in1}/{budget})"
+            );
+            assert_eq!(
+                in1 + in2,
+                budget,
+                "{ctx}: migration lost or duplicated source tuples"
+            );
+            assert_eq!(
+                r1.sink_events + r2.sink_events,
+                expected_sink,
+                "{ctx}: migration lost or duplicated sink tuples"
+            );
+            let n = r1.per_operator().len();
+            let processed: Vec<u64> = (0..n)
+                .map(|op| r1.operator(op).processed + r2.operator(op).processed)
+                .collect();
+            let emitted: Vec<u64> = (0..n)
+                .map(|op| r1.operator(op).emitted + r2.operator(op).emitted)
+                .collect();
+            summed.push((ctx, processed, emitted, r1.sink_events + r2.sink_events));
         }
     }
     let (ref_ctx, ref_processed, ref_emitted, ref_sink) = &summed[0];
@@ -224,8 +219,8 @@ fn word_count_migration_conforms_across_the_matrix() {
 
 #[test]
 fn fraud_detection_migration_conforms_across_the_matrix() {
-    // 2:2 Forward head (pairwise fusion in the fusion=on cells), an MPSC
-    // funnel in the Mpsc cells, and a KeyBy predictor.
+    // 2:2 Forward head (pairwise fusion in the fusion=on cells) and a
+    // KeyBy predictor.
     let budget = scaled(2000);
     matrix("FD", &[2, 2, 3, 1], budget, budget);
 }
@@ -239,7 +234,7 @@ fn rescaling_migration_conserves_the_budget() {
     let expected_sink = budget * word_count::WORDS_PER_SENTENCE as u64;
     for scheduler in SCHEDULERS {
         let ctx = format!("WC rescale {scheduler}");
-        let config = cell_config(scheduler, QueueKind::Spsc, false);
+        let config = cell_config(scheduler, false);
         let (r1, r2, _) = migrate_once(
             "WC",
             &[1, 1, 3, 2, 1],
@@ -284,7 +279,7 @@ fn word_count_state_hands_off_bit_exact() {
     let budget = 1200;
     let replication = [1usize, 1, 3, 2, 1];
     let counter_op = word_count::topology().find("counter").expect("counter").0;
-    let config = cell_config(Scheduler::ThreadPerReplica, QueueKind::Spsc, false);
+    let config = cell_config(Scheduler::ThreadPerReplica, false);
 
     let mut reference = Engine::new(
         app_sized("WC", budget).expect("WC"),
@@ -395,7 +390,7 @@ fn stream_join_index_survives_migration_bit_exact() {
     let (left_total, right_total) = stream_join::side_totals(budget);
     let expected = stream_join::oracle(left_total, right_total);
     let join_op = stream_join::topology().find("join").expect("join").0;
-    let config = cell_config(Scheduler::ThreadPerReplica, QueueKind::Spsc, false);
+    let config = cell_config(Scheduler::ThreadPerReplica, false);
 
     let mut reference = Engine::new(
         app_sized("SJ", budget).expect("SJ"),
@@ -486,7 +481,6 @@ fn migration_racing_spout_exhaustion_conserves_the_budget() {
         let ctx = format!("WC exhausted-race {scheduler}");
         let config = EngineConfig::builder()
             .scheduler(scheduler)
-            .queue_kind(QueueKind::Spsc)
             .fusion(false)
             .build();
         let replication = [1usize, 1, 2, 2, 1];

@@ -9,7 +9,7 @@
 //! round-robin cursor never favours a replica.
 
 use brisk_dag::Partitioning;
-use brisk_runtime::{Partitioner, QueueKind, ReplicaQueue};
+use brisk_runtime::{Partitioner, SpscQueue};
 use proptest::prelude::*;
 
 const STRATEGIES: [Partitioning; 4] = [
@@ -96,14 +96,14 @@ proptest! {
         consumers in 2usize..6,
         stride in 1u64..32,
     ) {
-        let queues: Vec<ReplicaQueue<u64>> = (0..consumers)
-            .map(|_| ReplicaQueue::new(QueueKind::Mpsc, 1024))
+        let queues: Vec<SpscQueue<u64>> = (0..consumers)
+            .map(|_| SpscQueue::new(1024))
             .collect();
         let mut p = Partitioner::new(Partitioning::KeyBy, consumers);
         for i in 0..256u64 {
             let key = i * stride;
             for t in p.route(key).iter() {
-                queues[t].push(key).expect("open");
+                queues[t].try_push(key).expect("room");
             }
         }
         let total: usize = queues.iter().map(|q| q.len()).sum();

@@ -1,39 +1,33 @@
-//! Property + stress tests for the queue fabrics.
+//! Property + stress tests for the SPSC ring, the engine's only queue.
 //!
-//! All [`QueueKind`]s must agree on the contract the engine depends on:
-//! FIFO order, a hard capacity bound (back-pressure), and close/drain
-//! semantics (pushes fail after close, queued items still pop). The
-//! properties replay randomized push/pop interleavings against a
-//! `VecDeque` model; the stress tests move 100k tuples across real
-//! producer/consumer threads under each fabric, and the MPSC ring
-//! additionally proves exactly-once + FIFO-per-producer under genuine
-//! multi-producer contention.
+//! The ring must keep the contract the engine depends on: FIFO order, a
+//! hard capacity bound (back-pressure), and close/drain semantics (pushes
+//! fail after close, queued items still pop). The properties replay
+//! randomized push/pop interleavings against a `VecDeque` model; the
+//! stress test moves 100k tuples across a real producer/consumer thread
+//! pair.
 
-use brisk_runtime::{MpscQueue, QueueKind, ReplicaQueue};
+use brisk_runtime::{PushError, SpscQueue};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-const KINDS: [QueueKind; 3] = [QueueKind::Mutex, QueueKind::Spsc, QueueKind::Mpsc];
-
-/// Apply a randomized op sequence to a queue and a `VecDeque` model,
-/// checking they agree step by step. Ops: even = try-style push (via
-/// `push_timeout` with a zero budget so a full queue refuses instead of
-/// blocking), odd = pop.
-fn check_against_model(kind: QueueKind, capacity: usize, ops: &[u8]) -> Result<(), TestCaseError> {
-    let q: ReplicaQueue<u64> = ReplicaQueue::new(kind, capacity);
+/// Apply a randomized op sequence to a ring and a `VecDeque` model,
+/// checking they agree step by step. Ops: even = `try_push` (a full ring
+/// refuses instead of blocking), odd = pop.
+fn check_against_model(capacity: usize, ops: &[u8]) -> Result<(), TestCaseError> {
+    let q: SpscQueue<u64> = SpscQueue::new(capacity);
     let mut model = std::collections::VecDeque::new();
     let mut next_value = 0u64;
     for &op in ops {
         if op % 2 == 0 {
             let full = model.len() == capacity;
-            let outcome = q.push_timeout(next_value, std::time::Duration::ZERO);
+            let outcome = q.try_push(next_value);
             prop_assert!(
-                outcome.is_err() == full,
-                "push on {} at len {} (capacity {}) returned {:?}",
-                kind,
+                matches!(outcome, Err(PushError::Full(_))) == full,
+                "push at len {} (capacity {}) returned {:?}",
                 model.len(),
                 capacity,
-                outcome.is_err()
+                outcome
             );
             if !full {
                 model.push_back(next_value);
@@ -58,38 +52,32 @@ proptest! {
         capacity in 1usize..20,
         ops in prop::collection::vec(0u8..4, 1..200),
     ) {
-        for kind in KINDS {
-            check_against_model(kind, capacity, &ops)?;
-        }
+        check_against_model(capacity, &ops)?;
     }
 
-    /// Batch push_n/pop_n preserve FIFO order and count every item once.
+    /// Batch `pop_n` preserves FIFO order and counts every item once.
     #[test]
-    fn batch_ops_match_item_ops(
+    fn pop_n_matches_item_order(
         capacity in 1usize..16,
         chunks in prop::collection::vec(1usize..12, 1..20),
     ) {
-        for kind in KINDS {
-            let q: ReplicaQueue<u64> = ReplicaQueue::new(kind, capacity);
-            let mut next = 0u64;
-            let mut popped = Vec::new();
-            for &chunk in &chunks {
-                // Keep each batch within the free space so push_n cannot
-                // block (single-threaded test).
-                let free = capacity - q.len();
-                let n = chunk.min(free);
-                let batch: Vec<u64> = (next..next + n as u64).collect();
-                next += n as u64;
-                prop_assert!(q.push_n(batch).is_ok());
-                q.pop_n(&mut popped, chunk / 2 + 1);
+        let q: SpscQueue<u64> = SpscQueue::new(capacity);
+        let mut next = 0u64;
+        let mut popped = Vec::new();
+        for &chunk in &chunks {
+            // Stay within the free space so every push succeeds.
+            let n = chunk.min(capacity - q.len());
+            for _ in 0..n {
+                prop_assert!(q.try_push(next).is_ok());
+                next += 1;
             }
-            while q.pop_n(&mut popped, 8) > 0 {}
-            prop_assert_eq!(popped.len() as u64, next);
-            // FIFO end to end: popped must be exactly 0..next in order.
-            let expect: Vec<u64> = (0..next).collect();
-            prop_assert_eq!(popped, expect);
-            prop_assert!(q.is_empty());
+            q.pop_n(&mut popped, chunk / 2 + 1);
         }
+        while q.pop_n(&mut popped, 8) > 0 {}
+        // FIFO end to end: popped must be exactly 0..next in order.
+        let expect: Vec<u64> = (0..next).collect();
+        prop_assert_eq!(popped, expect);
+        prop_assert!(q.is_empty());
     }
 
     /// Close/drain semantics: after close, pushes fail and every item
@@ -100,129 +88,73 @@ proptest! {
         pre_close in 0usize..16,
         pop_before_close in 0usize..8,
     ) {
-        for kind in KINDS {
-            let q: ReplicaQueue<u64> = ReplicaQueue::new(kind, capacity);
-            let pushed = pre_close.min(capacity);
-            for i in 0..pushed {
-                prop_assert!(q.push(i as u64).is_ok());
-            }
-            let expect = pushed as u64;
-            let mut seen = 0u64;
-            for _ in 0..pop_before_close.min(pushed) {
-                prop_assert_eq!(q.try_pop(), Some(seen));
-                seen += 1;
-            }
-            q.close();
-            prop_assert!(q.is_closed());
-            prop_assert!(q.push(999).is_err(), "push after close must fail");
-            prop_assert!(q.push_n(vec![1, 2]).is_err());
-            while let Some(v) = q.try_pop() {
-                prop_assert_eq!(v, seen);
-                seen += 1;
-            }
-            prop_assert!(seen == expect, "drain lost or invented items: {seen} != {expect}");
+        let q: SpscQueue<u64> = SpscQueue::new(capacity);
+        let pushed = pre_close.min(capacity);
+        for i in 0..pushed {
+            prop_assert!(q.try_push(i as u64).is_ok());
         }
+        let expect = pushed as u64;
+        let mut seen = 0u64;
+        for _ in 0..pop_before_close.min(pushed) {
+            prop_assert_eq!(q.try_pop(), Some(seen));
+            seen += 1;
+        }
+        q.close();
+        prop_assert!(q.is_closed());
+        prop_assert!(
+            matches!(q.try_push(999), Err(PushError::Closed(999))),
+            "push after close must fail"
+        );
+        prop_assert!(q.push_tracked(999).is_err(), "blocking push after close must fail");
+        while let Some(v) = q.try_pop() {
+            prop_assert_eq!(v, seen);
+            seen += 1;
+        }
+        prop_assert!(seen == expect, "drain lost or invented items: {seen} != {expect}");
     }
 }
 
 /// 2-thread stress: exactly-once, in-order delivery of 100k tuples through
-/// a small ring under both fabrics, with blocking back-pressure on the
-/// producer side and batch pops on the consumer side.
+/// a small ring, with blocking back-pressure on the producer side and
+/// batch pops on the consumer side.
 #[test]
 fn two_thread_stress_exactly_once_100k() {
     const N: u64 = 100_000;
-    for kind in KINDS {
-        let q: Arc<ReplicaQueue<u64>> = Arc::new(ReplicaQueue::new(kind, 32));
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut i = 0u64;
-                while i < N {
-                    // Mix single and batch pushes to cover both paths.
-                    if i % 3 == 0 {
-                        let hi = (i + 16).min(N);
-                        q.push_n((i..hi).collect()).expect("open");
-                        i = hi;
-                    } else {
-                        q.push(i).expect("open");
-                        i += 1;
-                    }
-                }
-            })
-        };
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut got: Vec<u64> = Vec::with_capacity(N as usize);
-                let mut idle = 0u32;
-                while (got.len() as u64) < N {
-                    if q.pop_n(&mut got, 8) == 0 {
-                        idle += 1;
-                        if idle % 64 == 0 {
-                            std::thread::yield_now();
-                        }
-                    } else {
-                        idle = 0;
-                    }
-                }
-                got
-            })
-        };
-        producer.join().expect("producer ok");
-        let got = consumer.join().expect("consumer ok");
-        assert_eq!(got.len() as u64, N, "{kind}: exactly-once count");
-        for (i, v) in got.iter().enumerate() {
-            assert_eq!(*v, i as u64, "{kind}: order violated at {i}");
-        }
-        assert!(q.is_empty(), "{kind}: ring should be fully drained");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// MPSC ring vs a per-producer model: 4 real producer threads push
-    /// disjoint tagged sequences of random lengths through a small ring;
-    /// the consumer must observe every item exactly once and each
-    /// producer's items in program order, with the ring fully drained.
-    #[test]
-    fn mpsc_four_producers_exactly_once_fifo_per_producer(
-        capacity in 1usize..24,
-        lens in (100usize..400, 100usize..400, 100usize..400, 100usize..400),
-    ) {
-        let lens = [lens.0, lens.1, lens.2, lens.3];
-        let q: Arc<MpscQueue<(usize, u32)>> = Arc::new(MpscQueue::new(capacity));
-        let mut handles = Vec::new();
-        for (p, &len) in lens.iter().enumerate() {
-            let q = Arc::clone(&q);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..len as u32 {
-                    q.push((p, i)).expect("open");
-                }
-            }));
-        }
-        let expect: usize = lens.iter().sum();
-        let mut seen: [Vec<u32>; 4] = Default::default();
-        let mut got = Vec::new();
-        let mut count = 0usize;
-        while count < expect {
-            let n = q.pop_n(&mut got, 8);
-            if n == 0 {
-                std::thread::yield_now();
-                continue;
+    let q: Arc<SpscQueue<u64>> = Arc::new(SpscQueue::new(32));
+    let producer = {
+        let q = Arc::clone(&q);
+        std::thread::spawn(move || {
+            let mut stalls = 0u64;
+            for i in 0..N {
+                stalls += u64::from(q.push_tracked(i).expect("open"));
             }
-            for (p, i) in got.drain(..) {
-                seen[p].push(i);
-                count += 1;
+            stalls
+        })
+    };
+    let consumer = {
+        let q = Arc::clone(&q);
+        std::thread::spawn(move || {
+            let mut got: Vec<u64> = Vec::with_capacity(N as usize);
+            let mut idle = 0u32;
+            while (got.len() as u64) < N {
+                if q.pop_n(&mut got, 8) == 0 {
+                    idle += 1;
+                    if idle % 64 == 0 {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    idle = 0;
+                }
             }
-        }
-        for h in handles {
-            h.join().expect("producer ok");
-        }
-        prop_assert!(q.is_empty(), "ring fully drained");
-        for (p, s) in seen.iter().enumerate() {
-            let model: Vec<u32> = (0..lens[p] as u32).collect();
-            prop_assert!(s == &model, "producer {} lost order or items", p);
-        }
+            got
+        })
+    };
+    let stalls = producer.join().expect("producer ok");
+    let got = consumer.join().expect("consumer ok");
+    assert!(stalls <= N);
+    assert_eq!(got.len() as u64, N, "exactly-once count");
+    for (i, v) in got.iter().enumerate() {
+        assert_eq!(*v, i as u64, "order violated at {i}");
     }
+    assert!(q.is_empty(), "ring should be fully drained");
 }
